@@ -150,19 +150,18 @@ class NegativeDelayChecker(Checker):
 
 
 #: The sanctioned home of the timed queue: the kernel package itself
-#: (the calendar-queue scheduler and the frozen ``_reference`` kernel).
+#: (the timed heap and the frozen ``_reference`` kernel).
 _QUEUE_EXEMPT = "repro.sim"
 
 
 class PrivateQueueChecker(Checker):
     """SIM210: a private priority queue outside ``repro.sim``.
 
-    The kernel's calendar-queue scheduler is the only sanctioned timed
-    queue.  A module-private heap keyed by (deadline, seq) duplicates
-    the scheduler's ordering work, re-introduces the per-event
-    comparison costs the calendar removed, and -- worse -- creates a
-    second ordering authority that can silently disagree with the
-    kernel's (tick, schedule-order) contract.  Schedule one timeout per
+    The kernel's timed heap is the only sanctioned timed queue.  A
+    module-private heap keyed by (deadline, seq) duplicates the
+    kernel's ordering work and -- worse -- creates a second ordering
+    authority that can silently disagree with the kernel's
+    (tick, schedule-order) contract.  Schedule one timeout per
     item and close over the payload instead
     (``repro.device.delay.DelayModule.submit`` is the pattern).
     """

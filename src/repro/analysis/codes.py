@@ -98,9 +98,8 @@ _ALL = [
         "SIM210",
         "private priority queue",
         "heapq / queue.PriorityQueue outside repro.sim duplicates the "
-        "kernel's calendar-queue scheduler (and its ordering "
-        "guarantees); schedule per-item timeouts and close over the "
-        "payload instead",
+        "kernel's timed heap (and its ordering guarantees); schedule "
+        "per-item timeouts and close over the payload instead",
     ),
     # -- SIM3xx: units / config ------------------------------------------
     CodeInfo(

@@ -975,18 +975,6 @@ def _command_profile(args: argparse.Namespace, out, record=None) -> int:
           f"(bypass ratio {kernel.bypass_ratio:.3f})", file=out)
     print(f"resumes       : {stats['process_resumes']} "
           f"({stats['processes_spawned']} processes spawned)", file=out)
-    print(f"scheduler     : {stats['overflow_spills']} spills, "
-          f"{stats['overflow_migrations']} migrations, "
-          f"{stats['mode_switches']} mode switches", file=out)
-    print(f"calendar      : bucket width {stats['bucket_width']}, "
-          f"{stats['bucket_resizes']} resizes, "
-          f"{stats['buckets_skipped']} empty buckets skipped "
-          f"({stats['bucket_skip_spans']} spans)", file=out)
-    print(f"due batches   : {stats['window_advances']} advances, "
-          f"max {stats['due_batch_max']}; "
-          f"1={stats['due_batch_1']} 2-7={stats['due_batch_2_7']} "
-          f"8-63={stats['due_batch_8_63']} "
-          f"64+={stats['due_batch_64_plus']}", file=out)
     print(f"events/sec    : {events_per_sec:,.0f}", file=out)
     print(file=out)
     pstats.Stats(profiler, stream=out).strip_dirs().sort_stats(

@@ -111,7 +111,10 @@ __all__ = [
 #: "5": request-scoped latency attribution -- ``ServiceParams`` grew a
 #: ``spans`` flag (changing service job digests) and span-enabled
 #: service payloads carry the attribution table + exemplar span trees.
-MODEL_VERSION = "5"
+#: "6": the timed tier is one heap again -- simulation outputs are
+#: bit-for-bit unchanged, but ``kernel_stats`` lost the scheduler
+#: counters.
+MODEL_VERSION = "6"
 
 
 @dataclass(frozen=True)

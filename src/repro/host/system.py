@@ -283,26 +283,12 @@ class System:
         """Wire ``tracer`` into every instrumented component, assigning
         the pid/tid layout of the rendered timeline (one Perfetto
         process group per hardware layer)."""
-        from repro.obs import (
-            PID_CORES,
-            PID_DEVICE,
-            PID_KERNEL,
-            PID_PCIE,
-            PID_UNCORE,
-        )
-        from repro.units import US
+        from repro.obs import PID_CORES, PID_DEVICE, PID_PCIE, PID_UNCORE
 
         tracer.process_name(PID_CORES, "cores")
         tracer.process_name(PID_UNCORE, "uncore")
         tracer.process_name(PID_PCIE, "pcie")
         tracer.process_name(PID_DEVICE, "device")
-        tracer.process_name(PID_KERNEL, "sim kernel")
-
-        # Scheduler gauges (calendar occupancy, overflow backlog, due
-        # batch), sampled at most every quarter microsecond of simulated
-        # time; the tracer's track filter drops the samples when the
-        # ``kernel`` track is not recorded.
-        self.sim.attach_tracer(tracer, PID_KERNEL, interval_ticks=US // 4)
 
         smt = self.config.cpu.smt_contexts
         # Two tids per logical core (pipeline + scheduler), then one

@@ -28,7 +28,6 @@ from repro.obs.spans import (
 from repro.obs.tracer import (
     PID_CORES,
     PID_DEVICE,
-    PID_KERNEL,
     PID_PCIE,
     PID_SERVICE,
     PID_UNCORE,
@@ -46,7 +45,6 @@ __all__ = [
     "PID_UNCORE",
     "PID_PCIE",
     "PID_DEVICE",
-    "PID_KERNEL",
     "PID_SERVICE",
     "InvariantMonitor",
     "InvariantViolation",

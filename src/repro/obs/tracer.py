@@ -39,7 +39,6 @@ __all__ = [
     "PID_PCIE",
     "PID_DEVICE",
     "PID_SERVICE",
-    "PID_KERNEL",
     "TraceConfig",
     "Tracer",
 ]
@@ -56,14 +55,12 @@ __all__ = [
 #: * ``sched``  -- uthread slices and completion polls (section IV-B)
 #: * ``service`` -- open-loop request lifecycles (arrival to response)
 #:   and host-queue depth counters (the SLO layer)
-#: * ``kernel`` -- simulation-kernel scheduler gauges (calendar bucket
-#:   occupancy, overflow backlog, due-batch size), sampled per interval
 #: * ``spans`` -- per-request attribution exemplars rendered as async
 #:   (``ph: b/e``) span trees (:mod:`repro.obs.spans`), overlaying the
 #:   per-layer tracks above
 TRACKS: FrozenSet[str] = frozenset(
     {"rob", "lfb", "queues", "pcie", "device", "swq", "sched", "service",
-     "kernel", "spans"}
+     "spans"}
 )
 
 #: Process-ID groups of the rendered timeline (named via metadata
@@ -73,7 +70,6 @@ PID_UNCORE = 2
 PID_PCIE = 3
 PID_DEVICE = 4
 PID_SERVICE = 5
-PID_KERNEL = 6
 
 #: Ticks are integer picoseconds; trace-event ``ts``/``dur`` are
 #: microseconds (floats allowed, so no precision is lost for display).

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
@@ -221,7 +222,11 @@ def test_worker_failure_falls_back_in_process(monkeypatch):
 
 
 def test_timeout_falls_back_in_process():
-    jobs = [_job(threads=threads) for threads in (1, 2)]
+    # The engine can only time out a job whose start it has seen; a
+    # TINY job (~10 ms) can finish inside one 20 ms supervisor poll and
+    # be harvested as done.  A 400 us window runs for ~0.3 s instead.
+    window = MeasureWindow(warmup_us=2.0, measure_us=400.0)
+    jobs = [replace(_job(threads=threads), window=window) for threads in (1, 2)]
     engine = SweepEngine(jobs=2, use_cache=False, retries=0, timeout_s=1e-6)
     outcomes = engine.run(jobs)
     assert engine.last_stats["fallbacks"] == 2

@@ -82,27 +82,3 @@ def test_swq_peak_matches_envelope(reads):
     config, measured = measure(AccessMechanism.SOFTWARE_QUEUE, 32, spec)
     predicted = predict_swq_peak_ipc(config, spec)
     assert measured == pytest.approx(predicted, rel=0.18)
-
-
-def test_forced_dense_scheduler_preserves_envelope():
-    """The calendar wheel's fast-forward of quiescent spans (a 4 us
-    device round trip with one thread leaves the timed tier idle
-    between misses) must not perturb the physics: forcing the wheel on
-    for a real platform workload reproduces the default-mode IPC
-    bit-for-bit and stays inside the closed-form envelope."""
-    from repro.sim import kernel as fast_kernel
-
-    spec = MicrobenchSpec(work_count=500)
-    config, default_ipc = measure(
-        AccessMechanism.ON_DEMAND, 1, spec, latency_us=4.0
-    )
-    saved = fast_kernel._DENSE_AT, fast_kernel._SPARSE_AT
-    fast_kernel._DENSE_AT, fast_kernel._SPARSE_AT = 4, 2
-    try:
-        _, dense_ipc = measure(
-            AccessMechanism.ON_DEMAND, 1, spec, latency_us=4.0
-        )
-    finally:
-        fast_kernel._DENSE_AT, fast_kernel._SPARSE_AT = saved
-    assert dense_ipc == default_ipc
-    assert dense_ipc == pytest.approx(predict_on_demand_ipc(config, spec), rel=0.12)

@@ -151,3 +151,54 @@ def test_same_tick_events_fire_in_schedule_order(n_procs, waves, delay):
     assert order == [
         (wave, pid) for wave in range(waves) for pid in range(n_procs)
     ]
+
+
+@st.composite
+def _mid_tick_stops(draw):
+    """Processes that each wake on a pre-armed timer and then hop
+    through short delays (0 is a zero-delay hop), plus a stop timer
+    armed at a random position among the wake timers -- so it shares
+    its tick with other timers and with the hops their processes make."""
+    n_procs = draw(st.integers(min_value=1, max_value=5))
+    ticks = st.integers(min_value=1, max_value=3)
+    wakes = draw(st.lists(ticks, min_size=n_procs, max_size=n_procs))
+    hops = [
+        draw(st.lists(st.integers(min_value=0, max_value=3), max_size=5))
+        for _ in range(n_procs)
+    ]
+    stop_at = draw(st.integers(min_value=0, max_value=n_procs))
+    return wakes, hops, stop_at, draw(ticks)
+
+
+def _stop_then_resume(module, wakes, hops, stop_at, stop_tick):
+    """``run(until=stop timer)``, then ``run()`` to the end; returns the
+    whole trace, where it was cut, and the final clock."""
+    sim = module.Simulator()
+    trace = []
+
+    def proc(pid, wake, delays):
+        yield wake
+        trace.append((pid, "wake", sim.now))
+        for step, delay in enumerate(delays):
+            yield sim.timeout(delay)
+            trace.append((pid, step, sim.now))
+
+    timers = [sim.timeout(tick) for tick in wakes[:stop_at]]
+    stop = sim.timeout(stop_tick)
+    timers += [sim.timeout(tick) for tick in wakes[stop_at:]]
+    for pid, (wake, delays) in enumerate(zip(timers, hops)):
+        sim.process(proc(pid, wake, delays))
+    sim.run(stop)
+    cut = (len(trace), sim.now)
+    sim.run()
+    return trace, cut, sim.now
+
+
+@given(case=_mid_tick_stops())
+@settings(max_examples=200, deadline=None)
+def test_resume_after_mid_tick_stop_matches_reference(case):
+    """The rest of a tick left behind by a stop -- timers due now and
+    run-queue hops -- fires on the next run() in schedule order."""
+    assert _stop_then_resume(fast_kernel, *case) == _stop_then_resume(
+        ref_kernel, *case
+    )

@@ -1,52 +1,25 @@
-"""Calendar-queue scheduler property tests.
+"""Timed-heap property tests.
 
-The hybrid scheduler has two regimes -- sparse (pure heap, shallow
-pending) and dense (calendar wheel, engaged past ``_DENSE_AT`` pending
-timers) -- plus the seams between them: the sparse->dense migration,
-the dense->sparse revert, overflow spills at the window edge, and lazy
-re-bucketing on window advance.  These tests throw adversarial delay
-distributions (bimodal, heavy-tailed, all-zero, exact-bucket-boundary)
-at both regimes and require bit-for-bit trace equivalence with the
-frozen reference kernel; deterministic regressions pin the
-window-advance boundary and cross-check the empty-bucket fast-forward
-against its closed form.
-
-Shrinking the thresholds via :func:`_force_wheel` is the coverage
-lever: production thresholds need ~1k pending timers to engage the
-wheel, far beyond what a property example should simulate.
+Adversarial delay distributions (bimodal, heavy-tailed, all-zero,
+multiples of 1024 +/- 1) drive the timed heap and the same-tick run
+queue, and the trace must equal the frozen reference kernel's bit for
+bit.
 """
-
-from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
 from repro.sim import _reference as ref_kernel
 from repro.sim import kernel as fast_kernel
-
-
-@contextmanager
-def _force_wheel(dense_at=4, sparse_at=2):
-    """Shrink the hybrid thresholds so tiny programs exercise the dense
-    (calendar-wheel) mode and the dense->sparse revert."""
-    saved = fast_kernel._DENSE_AT, fast_kernel._SPARSE_AT
-    fast_kernel._DENSE_AT, fast_kernel._SPARSE_AT = dense_at, sparse_at
-    try:
-        yield
-    finally:
-        fast_kernel._DENSE_AT, fast_kernel._SPARSE_AT = saved
 
 
 # -- delay distributions ---------------------------------------------------
 
 _SMALL = st.integers(min_value=0, max_value=9)
 _LARGE = st.integers(min_value=900, max_value=5_000)
-#: Two well-separated modes: stresses bucket sizing (the width that
-#: suits one mode spills the other).
+#: Two well-separated modes: short hops interleaved with long waits.
 _BIMODAL = st.one_of(_SMALL, _LARGE)
-#: Log-uniform-ish tail out to ~1M ticks: stresses overflow spills,
-#: window growth, and the migration path.
+#: Log-uniform-ish tail out to ~1M ticks.
 _HEAVY_TAILED = st.builds(
     lambda mantissa, exponent: mantissa << exponent,
     st.integers(min_value=1, max_value=7),
@@ -54,10 +27,8 @@ _HEAVY_TAILED = st.builds(
 )
 #: Degenerate: every event same-tick, the run-queue bypass path.
 _ALL_ZERO = st.just(0)
-#: Multiples of 1024 +/- 1: with ``_NBUCKETS`` one-tick-wide buckets
-#: these land exactly on window-advance boundaries, the off-by-one
-#: hotspot of the in-window test and the migration threshold.
-_BUCKET_BOUNDARY = st.builds(
+#: Multiples of 1024 +/- 1: many timers collide on the same ticks.
+_COLLIDING = st.builds(
     lambda lap, jitter: lap * 1024 + jitter,
     st.integers(min_value=0, max_value=4),
     st.sampled_from([0, 1, 1023]),
@@ -67,7 +38,7 @@ _DISTRIBUTIONS = {
     "bimodal": _BIMODAL,
     "heavy_tailed": _HEAVY_TAILED,
     "all_zero": _ALL_ZERO,
-    "bucket_boundary": _BUCKET_BOUNDARY,
+    "colliding": _COLLIDING,
 }
 
 
@@ -84,13 +55,8 @@ def _timer_programs(draw):
     ]
 
 
-def _run_timers(module, programs, stepped=False):
-    """Execute timer programs on ``module``'s kernel; return the trace.
-
-    ``stepped=True`` drives the simulation one :meth:`step` at a time
-    instead of :meth:`run` -- the drain-equivalence check that keeps
-    run()'s inlined fire loops honest against the canonical sequence.
-    """
+def _run_timers(module, programs):
+    """Execute timer programs on ``module``'s kernel; return the trace."""
     sim = module.Simulator()
     trace = []
 
@@ -102,14 +68,7 @@ def _run_timers(module, programs, stepped=False):
 
     for pid, delays in enumerate(programs):
         sim.process(proc(pid, delays))
-    if stepped:
-        try:
-            while True:
-                sim.step()
-        except SimulationError:
-            pass
-    else:
-        sim.run()
+    sim.run()
     return trace, sim.now
 
 
@@ -120,118 +79,3 @@ def test_delay_distributions_trace_identical(programs):
     assert _run_timers(fast_kernel, programs) == _run_timers(
         ref_kernel, programs
     )
-
-
-@given(programs=_timer_programs())
-@settings(max_examples=150, deadline=None)
-def test_delay_distributions_trace_identical_dense(programs):
-    """Forced-dense: the same graphs through the calendar wheel, its
-    spill/migrate seams, and the dense->sparse revert."""
-    expected = _run_timers(ref_kernel, programs)
-    with _force_wheel():
-        assert _run_timers(fast_kernel, programs) == expected
-
-
-@given(programs=_timer_programs(), dense=st.booleans())
-@settings(max_examples=80, deadline=None)
-def test_step_drain_matches_run_drain(programs, dense):
-    """step()-driven execution equals run()-driven execution in both
-    regimes: one canonical fire order, however the loop is driven."""
-    expected = _run_timers(ref_kernel, programs)
-    if dense:
-        with _force_wheel():
-            assert _run_timers(fast_kernel, programs, stepped=True) == expected
-    else:
-        assert _run_timers(fast_kernel, programs, stepped=True) == expected
-
-
-@given(
-    n_procs=st.integers(min_value=5, max_value=8),
-    waves=st.integers(min_value=1, max_value=4),
-)
-@settings(max_examples=40, deadline=None)
-def test_same_tick_fifo_order_in_dense_mode(n_procs, waves):
-    """FIFO within a tick survives the wheel: same-tick entries share a
-    bucket in insertion order, so N processes looping on an identical
-    timeout resume round-robin every wave (no ``_seq`` tiebreaker
-    needed)."""
-    with _force_wheel():
-        sim = fast_kernel.Simulator()
-        order = []
-
-        def looper(pid):
-            for wave in range(waves):
-                yield sim.timeout(7)
-                order.append((wave, pid))
-
-        for pid in range(n_procs):
-            sim.process(looper(pid))
-        sim.run()
-        assert sim.kernel_stats()["mode_switches"] >= 1, "wheel never engaged"
-    assert order == [
-        (wave, pid) for wave in range(waves) for pid in range(n_procs)
-    ]
-
-
-def test_window_advance_boundary_spills_then_migrates():
-    """Regression: events at the last in-window tick, exactly the first
-    out-of-window tick, and one past it.  The first must go straight to
-    its bucket; the other two must spill to the overflow tier and
-    migrate back in -- all firing at their exact ticks, in tick order.
-    """
-    with _force_wheel():
-        sim = fast_kernel.Simulator()
-        fired = []
-
-        def pad():
-            yield sim.timeout(3)
-
-        def driver():
-            for _ in range(5):
-                sim.process(pad())
-            # First clock advance sees 6 > 4 pending: densify.  Delays
-            # <= 3 keep the bucket width at one tick, so the window
-            # spans exactly 1024 ticks from the current tick.
-            yield sim.timeout(2)
-            base = sim.now
-            for delay in (1023, 1024, 1025):
-                event = sim.timeout(delay)
-                event.add_callback(
-                    lambda _e, d=delay: fired.append((d, sim.now - base))
-                )
-
-        sim.process(driver())
-        sim.run()
-        stats = sim.kernel_stats()
-    assert fired == [(1023, 1023), (1024, 1024), (1025, 1025)]
-    assert stats["overflow_spills"] == 2, stats
-    assert stats["overflow_migrations"] >= 2, stats
-    assert stats["mode_switches"] >= 1, stats
-
-
-def test_fast_forward_skip_count_matches_closed_form():
-    """The quiescent-span fast-forward is exact, not approximate: with
-    one-tick buckets on a single-lap run, every simulated tick is
-    either fired in or skipped over exactly once, so the skip counter
-    must equal the final clock in closed form."""
-    with _force_wheel(dense_at=4, sparse_at=1):
-        sim = fast_kernel.Simulator()
-
-        def pad():
-            yield sim.timeout(2)
-
-        def driver():
-            for _ in range(5):
-                sim.process(pad())
-            yield sim.timeout(1)  # densify on this advance
-            yield sim.timeout(701)  # quiescent span: 700 empty buckets
-
-        sim.process(driver())
-        sim.run()
-        stats = sim.kernel_stats()
-    assert sim.now == 702
-    # Ticks 1..702 were each crossed exactly once by the occupancy
-    # scan (the occupied ones as scan targets, the empty ones inside
-    # skip spans): closed form == final clock.
-    assert stats["buckets_skipped"] == sim.now, stats
-    assert stats["bucket_width"] == 1, stats

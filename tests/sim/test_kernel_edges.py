@@ -141,3 +141,39 @@ def test_many_waiters_on_one_event_all_resume():
     sim.process(opener())
     sim.run()
     assert resumed == [(tag, "open") for tag in range(25)]
+
+
+def test_sanity_check_is_clean_mid_tick_and_after_a_run():
+    sim = Simulator()
+    seen = []
+
+    def checker():
+        yield sim.timeout(5)
+        seen.append((sim.pending_events, sim.sanity_check()))
+
+    def sleepers():
+        sim.timeout(5)
+        sim.timeout(5)
+        yield sim.timeout(9)
+
+    sim.process(checker())
+    sim.process(sleepers())
+    sim.run()
+    # The check ran with the rest of tick 5 still on the heap.
+    assert seen == [(3, [])]
+    assert sim.sanity_check() == []
+
+
+def test_sanity_check_reports_a_heap_entry_behind_the_clock():
+    sim = Simulator()
+    sim.timeout(5)
+    sim.now = 10
+    assert sim.sanity_check() == ["timed heap holds tick 5 < now 10"]
+
+
+def test_sanity_check_reports_more_pops_than_pushes():
+    sim = Simulator()
+    sim.timeout(5)
+    sim.run()
+    sim.heap_pops += 1
+    assert sim.sanity_check() == ["more timed pops (2) than pushes (1)"]

@@ -99,3 +99,16 @@ def test_empty_collector_reports_zero_ratio():
         pass
     assert kernel.stats()["simulators"] == 0
     assert kernel.bypass_ratio == 0.0
+
+
+def test_empty_collector_stats_register_no_simulator():
+    """Reading an empty collector's stats inside its block must not
+    build (and so register) a simulator: every call reports zero."""
+    with collect_kernel_stats() as kernel:
+        first = kernel.stats()
+        second = kernel.stats()
+    assert first == second
+    assert second["simulators"] == 0
+    assert set(second) == {"simulators"} | (
+        set(Simulator().kernel_stats()) - {"pending_events"}
+    )
