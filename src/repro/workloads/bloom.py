@@ -148,7 +148,7 @@ def install_bloom(
     results: dict[tuple[int, int], list[bool]] = {}
     # Pre-compute every thread's queries so each core's filter can be
     # populated with exactly the present keys (the sparse functional
-    # memory then only materializes words the run will touch).
+    # memory then only materializes pages the run will touch).
     present_by_core: dict[int, set[int]] = {}
     for core_id in range(system.config.cores):
         present: set[int] = set()

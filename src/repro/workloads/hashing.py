@@ -7,7 +7,9 @@ correctness tests rely on.
 
 from __future__ import annotations
 
-__all__ = ["mix64", "hash_with_seed"]
+import numpy as np
+
+__all__ = ["mix64", "mix64_array", "hash_with_seed"]
 
 _MASK = (1 << 64) - 1
 
@@ -18,6 +20,18 @@ def mix64(value: int) -> int:
     value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
     value = (value ^ (value >> 27)) * 0x94D049BB133111EB & _MASK
     return value ^ (value >> 31)
+
+
+def mix64_array(values: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of every element of a ``uint64`` array.
+
+    uint64 arithmetic wraps modulo 2**64, which is exactly the
+    ``& _MASK`` that :func:`mix64` applies after each step.
+    """
+    value = np.asarray(values, dtype=np.uint64)
+    value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return value ^ (value >> np.uint64(31))
 
 
 def hash_with_seed(value: int, seed: int) -> int:

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.host.system import System
 from repro.memory import WORD_BYTES, FlatMemory
 from repro.runtime.api import AccessContext
-from repro.workloads.hashing import hash_with_seed, mix64
+from repro.workloads.hashing import hash_with_seed, mix64, mix64_array
 from repro.workloads.seeds import thread_seed
 
 __all__ = ["MemcachedParams", "KvStore", "memcached_get_thread", "install_memcached"]
@@ -96,24 +98,33 @@ class KvStore:
     # -- functional build --------------------------------------------------------
 
     def populate(self, keys) -> None:
-        """Insert every key (untimed setup).  Chains push at head."""
+        """Insert every key (untimed setup).  Chains push at head.
+
+        The value region is written in one bulk pass; only the entry
+        words and the bucket heads are written key by key.
+        """
+        keys = list(keys)
+        params = self.params
+        if len(keys) > params.items:
+            raise ConfigError(
+                f"{len(keys)} keys overflow a store of {params.items} items"
+            )
         world = self.world
-        chain_len: dict[int, int] = {}
-        for index, key in enumerate(keys):
-            bucket_addr = self._bucket_addr(key)
+        key_words = np.array(keys, dtype=np.uint64)
+        word_index = np.arange(params.value_bytes // WORD_BYTES, dtype=np.uint64)
+        # value_word(key, i) of every key's words, key by key.
+        values = mix64_array(key_words[:, None] * np.uint64(31) + word_index)
+        world.write_words(self._values_base, values.ravel())
+        buckets = (mix64_array(key_words) % np.uint64(params.buckets)).astype(np.int64)
+        for index, (key, bucket) in enumerate(zip(keys, buckets.tolist())):
+            bucket_addr = self.base_addr + bucket * WORD_BYTES
             entry = self._entry_addr(index)
             world.write_word(entry + _ENTRY_KEY, key)
             world.write_word(entry + _ENTRY_VALUE, self._value_addr(index))
             world.write_word(entry + _ENTRY_NEXT, world.read_word(bucket_addr))
             world.write_word(bucket_addr, entry)
-            for word_index in range(self.params.value_bytes // WORD_BYTES):
-                world.write_word(
-                    self._value_addr(index) + word_index * WORD_BYTES,
-                    value_word(key, word_index),
-                )
-            bucket = mix64(key) % self.params.buckets
-            chain_len[bucket] = chain_len.get(bucket, 0) + 1
-            self.max_chain = max(self.max_chain, chain_len[bucket])
+        chains = np.bincount(buckets, minlength=1)
+        self.max_chain = max(self.max_chain, int(chains.max()))
 
     def get_functional(self, key: int) -> list[int] | None:
         """Untimed GET (test oracle): the value words, or None."""

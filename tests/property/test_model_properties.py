@@ -1,11 +1,14 @@
 """Property-based tests of model components and data structures."""
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig
 from repro.cpu.cache import L1Cache
 from repro.device.replay import AccessTrace, ReplayModule, TraceEntry
+from repro.errors import AddressError
 from repro.memory import FlatMemory
 from repro.runtime.queuepair import Descriptor, QueuePair
 from repro.sim import Simulator
@@ -24,6 +27,56 @@ def test_memory_write_read_roundtrip(writes):
     for addr, value in writes.items():
         assert memory.read_word(addr) == value
     assert memory.word_count() == len(writes)
+
+
+#: Word indexes spanning a few 4 KiB pages (512 words of 64-byte lines).
+page_word = st.integers(min_value=0, max_value=2047)
+#: Starts a few words either side of a page boundary.
+near_page_edge = st.builds(
+    lambda page, shift: page * 512 + shift, st.integers(1, 3), st.integers(-16, 16)
+)
+
+
+@given(
+    earlier=st.dictionaries(page_word, word_value, max_size=30),
+    start=st.one_of(page_word, near_page_edge),
+    length=st.integers(min_value=0, max_value=600),
+    pattern=st.lists(st.integers(min_value=0, max_value=(1 << 66) - 1), min_size=1, max_size=8),
+    as_array=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_write_words_matches_write_word_loop(earlier, start, length, pattern, as_array):
+    run = [pattern[i % len(pattern)] for i in range(length)]
+    bulk, looped = FlatMemory(), FlatMemory()
+    for memory in (bulk, looped):
+        for index, value in earlier.items():
+            memory.write_word(index * 8, value)
+    words = run
+    if as_array:
+        words = np.array([value & ((1 << 64) - 1) for value in run], dtype=np.uint64)
+    bulk.write_words(start * 8, words)
+    for offset, value in enumerate(run):
+        looped.write_word((start + offset) * 8, value)
+    assert bulk.word_count() == looped.word_count()
+    end = max([start + length, *[index + 1 for index in earlier]])
+    for index in range(end):
+        value = bulk.read_word(index * 8)
+        assert type(value) is int
+        assert value == looped.read_word(index * 8)
+    for line_addr in range(0, end * 8, 64):
+        assert bulk.read_line(line_addr) == looped.read_line(line_addr)
+
+
+@pytest.mark.parametrize("addr", [-8, -4096, 4, 4097])
+def test_write_words_bad_address_writes_nothing(addr):
+    memory = FlatMemory()
+    with pytest.raises(AddressError):
+        memory.write_words(addr, [1, 2, 3])
+    with pytest.raises(AddressError):
+        memory.write_words(addr, np.arange(3, dtype=np.uint64))
+    assert memory.word_count() == 0
+    aligned = max(0, addr - addr % 64)
+    assert memory.read_line(aligned) == bytes(64)
 
 
 @given(

@@ -47,6 +47,15 @@ def test_line_read_requires_alignment():
     memory = FlatMemory()
     with pytest.raises(AddressError):
         memory.read_line(0x108)
+    with pytest.raises(AddressError):
+        memory.read_line(-64)
+
+
+def test_reading_unwritten_memory_creates_no_page():
+    memory = FlatMemory()
+    assert memory.read_line(1 << 40) == bytes(64)
+    assert memory.read_word((1 << 40) + 8) == 0
+    assert memory._pages == {}
 
 
 def test_word_from_line():
@@ -67,9 +76,20 @@ def test_sparse_footprint():
     assert memory.word_count() == 2
 
 
+def test_word_count_counts_each_word_once():
+    memory = FlatMemory()
+    memory.write_word(0, 0)
+    memory.write_word(0, 5)
+    memory.write_words(0, [1, 2])
+    memory.write_words(8, [])
+    assert memory.word_count() == 2
+
+
 def test_line_size_must_be_word_multiple():
     with pytest.raises(AddressError):
         FlatMemory(line_bytes=60)
+    with pytest.raises(AddressError):
+        FlatMemory(line_bytes=0)
 
 
 def test_line_address_helper():
