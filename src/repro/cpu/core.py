@@ -91,6 +91,19 @@ class OutOfOrderCore:
         self._mmio_sink: Optional[Callable[[int, int], None]] = None
         if config.work_chunk_instructions > entries:
             raise SimulationError("work chunk larger than the ROB")
+        # Tick tables indexed by instruction count: every dispatched
+        # chunk is 1..work_chunk_instructions long, so the per-chunk
+        # float division and rounding happen once, here.
+        counts = range(config.work_chunk_instructions + 1)
+        self._dispatch_table = [
+            self.frequency.cycles(n / config.dispatch_width) for n in counts
+        ]
+        self._execute_table = [
+            self.frequency.cycles(n / config.work_ipc) for n in counts
+        ]
+        #: Retire hooks by instruction count, for work and for overhead.
+        self._work_hooks = [self._retire_hook(n, True) for n in counts]
+        self._overhead_hooks = [self._retire_hook(n, False) for n in counts]
 
     # -- wiring ---------------------------------------------------------------
 
@@ -111,22 +124,17 @@ class OutOfOrderCore:
     def cycles(self, n: float) -> int:
         return self.frequency.cycles(n)
 
-    def _dispatch_ticks(self, instructions: int) -> int:
-        return self.frequency.cycles(instructions / self.config.dispatch_width)
-
-    def _execute_ticks(self, instructions: int) -> int:
-        return self.frequency.cycles(instructions / self.config.work_ipc)
-
     def _fired_event(self) -> Event:
         event = Event(self.sim)
         event.succeed(None)
         return event
 
     def _dispatch(self, ticks: int):
-        """Consume front-end time, arbitrating with any SMT sibling."""
-        if self._front_end is None:
-            yield self.sim.timeout(ticks)
-            return
+        """Consume front-end time, arbitrating with the SMT sibling.
+
+        Only for a core with an SMT front end attached; without one the
+        callers yield the dispatch timeout themselves.
+        """
         grant = self._front_end.acquire()
         try:
             if not grant.fired:
@@ -164,37 +172,61 @@ class OutOfOrderCore:
             raise SimulationError("negative instruction count")
         if instructions == 0:
             return self._fired_event()
+        sim = self.sim
+        rob = self.rob
+        smt = self._front_end is not None
         chunk_size = self.config.work_chunk_instructions
+        dispatch_table = self._dispatch_table
+        execute_table = self._execute_table
+        hooks = self._work_hooks if count_as_work else self._overhead_hooks
         previous: Optional[Event] = None
         remaining = instructions
-        first = True
         while remaining > 0:
-            chunk = min(chunk_size, remaining)
+            chunk = chunk_size if remaining > chunk_size else remaining
             remaining -= chunk
-            yield from self.rob.allocate(chunk)
-            yield from self._dispatch(self._dispatch_ticks(chunk))
-            gates: list[Event] = []
-            if previous is not None:
-                gates.append(previous)
-            if first:
-                gates.extend(dep for dep in deps if not dep.fired)
-                first = False
-            exec_ticks = self._execute_ticks(chunk)
-            if not gates:
-                completion = self.sim.timeout(exec_ticks)
-            elif len(gates) == 1:
-                completion = self.sim.delayed(gates[0], exec_ticks)
+            if not rob.try_allocate(chunk):
+                yield from rob.allocate(chunk)
+            if smt:
+                yield from self._dispatch(dispatch_table[chunk])
             else:
-                completion = self.sim.delayed(all_of(self.sim, gates), exec_ticks)
-            self.rob.commit(chunk, completion, self._retire_hook(chunk, count_as_work))
+                yield sim.timeout(dispatch_table[chunk])
+            exec_ticks = execute_table[chunk]
+            if previous is not None:
+                # Later chunks chain on their predecessor only.
+                completion = sim.delayed(previous, exec_ticks)
+            else:
+                gates = [dep for dep in deps if not dep.fired]
+                if not gates:
+                    completion = sim.timeout(exec_ticks)
+                elif len(gates) == 1:
+                    completion = sim.delayed(gates[0], exec_ticks)
+                else:
+                    completion = sim.delayed(all_of(sim, gates), exec_ticks)
+            rob.commit(chunk, completion, hooks[chunk])
             previous = completion
         return previous
 
+    def _dispatch_one(self):
+        """Allocate one ROB slot and spend one instruction's front-end
+        time (loads, stores and prefetches)."""
+        if not self.rob.try_allocate(1):
+            yield from self.rob.allocate(1)
+        if self._front_end is None:
+            yield self.sim.timeout(self._dispatch_table[1])
+        else:
+            yield from self._dispatch(self._dispatch_table[1])
+
     def _retire_hook(self, instructions: int, count_as_work: bool):
+        # The hook closes over the counters, not the core: the core keeps
+        # its hooks, and a hook holding the core would make every core a
+        # reference cycle that only the cyclic garbage collector frees.
+        executed = self.instructions
+        work = self.work
+
         def hook() -> None:
-            self.instructions.add(instructions)
+            executed.add(instructions)
             if count_as_work:
-                self.work.add(instructions)
+                work.add(instructions)
 
         return hook
 
@@ -204,10 +236,9 @@ class OutOfOrderCore:
         The token's event fires with the line data.  The load occupies
         one ROB slot until it completes (and everything older retires).
         """
-        yield from self.rob.allocate(1)
-        yield from self._dispatch(self._dispatch_ticks(1))
+        yield from self._dispatch_one()
         data_event = self.memsys.load_line(addr, space)
-        self.rob.commit(1, data_event, self._retire_hook(1, False))
+        self.rob.commit(1, data_event, self._overhead_hooks[1])
         return LoadToken(data_event, addr, self.memsys.line_of(addr))
 
     def issue_store(self, addr: int, space: AddressSpace, num_bytes: int = 8):
@@ -223,14 +254,13 @@ class OutOfOrderCore:
                 f"core{self.core_id}: no store buffer attached (writes "
                 "need a System-built memory subsystem)"
             )
-        yield from self.rob.allocate(1)
-        yield from self._dispatch(self._dispatch_ticks(1))
+        yield from self._dispatch_one()
         from repro.cpu.storebuffer import PendingStore
 
         yield from self.memsys.store_buffer.post(
             PendingStore(addr, space, num_bytes)
         )
-        self.rob.commit(1, self._fired_event(), self._retire_hook(1, False))
+        self.rob.commit(1, self._fired_event(), self._overhead_hooks[1])
 
     def wait_data(self, token: LoadToken):
         """Block the front end until ``token``'s line has arrived.
@@ -254,10 +284,9 @@ class OutOfOrderCore:
         core to the fill rate); under the ``drop`` policy it retires
         immediately, discarded if no buffer was free.
         """
-        yield from self.rob.allocate(1)
-        yield from self._dispatch(self._dispatch_ticks(1))
+        yield from self._dispatch_one()
         issued = self.memsys.prefetch_line(addr, space)
-        self.rob.commit(1, issued, self._retire_hook(1, False))
+        self.rob.commit(1, issued, self._overhead_hooks[1])
 
     def run_instructions(self, instructions: int, count_as_work: bool = False):
         """Dispatch-and-forget an overhead instruction block.

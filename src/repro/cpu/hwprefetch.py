@@ -19,6 +19,7 @@ hold).
 
 from __future__ import annotations
 
+from repro.cpu.memsys import LineFill
 from repro.cpu.uncore import AddressSpace
 from repro.errors import ConfigError
 
@@ -131,9 +132,7 @@ class StridePrefetcher:
         self._inflight_lines.add(line_addr)
         if len(self._inflight_lines) > 4 * self.streams * self.degree:
             self._inflight_lines.pop()
-        memsys.sim.process(
-            memsys._fill(entry, line_addr, space), name=f"hwpf-{line_addr:#x}"
-        )
+        LineFill(memsys, entry, line_addr, space).launch()
 
     def _evict_streams(self) -> None:
         while len(self._table) > self.streams:

@@ -10,11 +10,14 @@ This is the path every load and prefetch takes:
              -> install in L1, wake waiters, free LFB + queue slot
 
 LFB allocation happens on the caller's (front-end's) time; everything
-downstream runs in a detached fill process so the core keeps
-dispatching while fills are in flight.
+downstream runs as a detached chain of event callbacks (a
+:class:`LineFill`) so the core keeps dispatching while fills are in
+flight.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from repro.config import CacheConfig
 from repro.cpu.cache import L1Cache
@@ -24,7 +27,77 @@ from repro.sim import Event, Simulator
 from repro.sim.trace import LatencyStat
 from repro.units import Frequency
 
-__all__ = ["CoreMemorySystem"]
+__all__ = ["CoreMemorySystem", "LineFill"]
+
+
+class LineFill:
+    """One line fill, from its LFB grant to the L1 install.
+
+    Each step is an event callback: :meth:`launch` starts the fill one
+    zero-delay timeout later (the hop rule of docs/MODEL.md), then the
+    fill waits for the shared uncore queue, crosses the hop, reads the
+    line from the path's target, crosses the hop back and completes
+    the miss entry.  A failed read releases the queue slot and raises
+    out of the simulation.
+    """
+
+    __slots__ = ("memsys", "entry", "line", "space", "queue", "data")
+
+    def __init__(
+        self,
+        memsys: "CoreMemorySystem",
+        entry: MissEntry,
+        line: int,
+        space: AddressSpace,
+    ) -> None:
+        self.memsys = memsys
+        self.entry = entry
+        self.line = line
+        self.space = space
+
+    def launch(self, _event: Optional[Event] = None) -> None:
+        """Start the fill one zero-delay hop from now."""
+        self.memsys.sim.timeout(0).add_callback(self._acquire)
+
+    def _acquire(self, _event: Event) -> None:
+        self.queue = self.memsys.uncore.queue(self.space)
+        self.queue.acquire().add_callback(self._granted)
+
+    def _granted(self, _event: Event) -> None:
+        uncore = self.memsys.uncore
+        if uncore.tracer is not None:
+            uncore.trace_queue(self.space)
+        self.memsys.sim.timeout(uncore.hop_ticks).add_callback(self._read)
+
+    def _read(self, _event: Event) -> None:
+        try:
+            read = self.memsys.uncore.target(self.space).read_line(self.line)
+        except BaseException:
+            self.queue.release()
+            raise
+        read.add_callback(self._returned)
+
+    def _returned(self, event: Event) -> None:
+        if event._exception is not None:
+            self.queue.release()
+            raise event._exception
+        self.data = event._value
+        memsys = self.memsys
+        memsys.sim.timeout(memsys.uncore.hop_ticks).add_callback(self._install)
+
+    def _install(self, _event: Event) -> None:
+        memsys = self.memsys
+        line = self.line
+        data = self.data
+        victim = memsys.l1.install(line)
+        if victim is not None:
+            memsys._contents.pop(victim, None)
+        memsys._contents[line] = data
+        self.queue.release()
+        if memsys.uncore.tracer is not None:
+            memsys.uncore.trace_queue(self.space)
+        memsys.fill_latency.record(memsys.sim.now - self.entry.issued_at)
+        memsys.lfb.complete(self.entry, data)
 
 
 class CoreMemorySystem:
@@ -91,11 +164,7 @@ class CoreMemorySystem:
         if self.hw_prefetcher is not None:
             self.hw_prefetcher.observe_miss(line, space)
         entry, granted = self.lfb.allocate_queued(line)
-        granted.add_callback(
-            lambda _ev: self.sim.process(
-                self._fill(entry, line, space), name=f"fill-{line:#x}"
-            )
-        )
+        granted.add_callback(LineFill(self, entry, line, space).launch)
         return entry.data_ready
 
     def prefetch_line(self, addr: int, space: AddressSpace) -> Event:
@@ -121,46 +190,16 @@ class CoreMemorySystem:
         if self.drop_prefetch_when_full:
             entry = self.lfb.try_allocate(line)
             if entry is not None:
-                self.sim.process(self._fill(entry, line, space), name=f"pf-{line:#x}")
+                LineFill(self, entry, line, space).launch()
             return self._fired()
         entry, granted = self.lfb.allocate_queued(line)
-        granted.add_callback(
-            lambda _ev: self.sim.process(
-                self._fill(entry, line, space), name=f"pf-{line:#x}"
-            )
-        )
+        granted.add_callback(LineFill(self, entry, line, space).launch)
         return granted
 
     def _fired(self) -> Event:
         event = Event(self.sim)
         event.succeed(None)
         return event
-
-    def _fill(self, entry: MissEntry, line: int, space: AddressSpace):
-        queue = self.uncore.queue(space)
-        grant = queue.acquire()
-        try:
-            if not grant.fired:
-                yield grant
-            if self.uncore.tracer is not None:
-                self.uncore.trace_queue(space)
-            yield self.sim.timeout(self.uncore.hop_ticks)
-            data = yield self.uncore.target(space).read_line(line)
-            yield self.sim.timeout(self.uncore.hop_ticks)
-            victim = self.l1.install(line)
-            if victim is not None:
-                self._contents.pop(victim, None)
-            self._contents[line] = data
-        finally:
-            # An exception thrown into the fill process must not strand
-            # a shared-queue slot.  The slot is ours once the grant has
-            # *triggered*; while still queued we own nothing to release.
-            if grant.triggered:
-                queue.release()
-        if self.uncore.tracer is not None:
-            self.uncore.trace_queue(space)
-        self.fill_latency.record(self.sim.now - entry.issued_at)
-        self.lfb.complete(entry, data)
 
     def _line_data(self, line: int) -> bytes:
         return self._contents.get(line, b"\x00" * self.line_bytes)

@@ -114,7 +114,12 @@ __all__ = [
 #: "6": the timed tier is one heap again -- simulation outputs are
 #: bit-for-bit unchanged, but ``kernel_stats`` lost the scheduler
 #: counters.
-MODEL_VERSION = "6"
+#: "7": queue plumbing runs as event callbacks -- simulation outputs are
+#: bit-for-bit unchanged, but ``kernel_stats`` values change (fewer
+#: events fired, run-queue bypasses, process resumes and spawns; the
+#: same heap pushes), and a span-enabled service payload whose window
+#: saw no completion now attributes 0 requests.
+MODEL_VERSION = "7"
 
 
 @dataclass(frozen=True)

@@ -82,10 +82,10 @@ class HostBridge:
             self._complete_mmio_read(tlp)
         elif tlp.kind is TlpKind.MEM_READ:
             self.dma_reads += 1
-            self.sim.process(self._serve_dma_read(tlp), name="dma-read")
+            self.sim.timeout(0, tlp).add_callback(self._serve_dma_read)
         elif tlp.kind is TlpKind.MEM_WRITE:
             self.dma_writes += 1
-            self.sim.process(self._serve_dma_write(tlp), name="dma-write")
+            self.sim.timeout(0, tlp).add_callback(self._serve_dma_write)
         else:
             raise ProtocolError(f"host bridge got unexpected TLP {tlp!r}")
 
@@ -95,12 +95,23 @@ class HostBridge:
             raise ProtocolError(f"completion for unknown read tag {tlp.tag}")
         pending.succeed(tlp.data)
 
-    def _serve_dma_read(self, tlp: Tlp):
-        context = tlp.context
-        if not isinstance(context, DmaReadRequest):
+    # A DMA is served by two callbacks: one a zero-delay timeout after
+    # the TLP arrives (the hop rule of docs/MODEL.md), and one on the
+    # DRAM access, which carries the TLP as its value.
+
+    def _serve_dma_read(self, event: Event) -> None:
+        tlp = event._value
+        if not isinstance(tlp.context, DmaReadRequest):
             raise ProtocolError("DMA read TLP lacks a DmaReadRequest context")
-        yield self.dram.access(max(1, context.reply_bytes))
-        data = context.read_fn()
+        self.dram.access(max(1, tlp.context.reply_bytes), tlp).add_callback(
+            self._dma_read_done
+        )
+
+    def _dma_read_done(self, event: Event) -> None:
+        if event._exception is not None:
+            raise event._exception
+        tlp = event._value
+        context = tlp.context
         self.link.downstream.send(
             Tlp(
                 TlpKind.COMPLETION,
@@ -108,15 +119,23 @@ class HostBridge:
                 payload_bytes=context.reply_bytes,
                 tag=tlp.tag,
                 requester=tlp.requester,
-                data=data,
+                data=context.read_fn(),
             )
         )
 
-    def _serve_dma_write(self, tlp: Tlp):
+    def _serve_dma_write(self, event: Event) -> None:
+        tlp = event._value
         context = tlp.context
         if context is not None and not isinstance(context, DmaWriteRequest):
             raise ProtocolError("DMA write TLP has a non-DmaWriteRequest context")
-        yield self.dram.access(max(1, tlp.payload_bytes))
+        self.dram.access(max(1, tlp.payload_bytes), tlp).add_callback(
+            self._dma_write_done
+        )
+
+    def _dma_write_done(self, event: Event) -> None:
+        if event._exception is not None:
+            raise event._exception
+        context = event._value.context
         if context is not None and context.on_commit is not None:
             context.on_commit()
 

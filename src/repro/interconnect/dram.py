@@ -10,33 +10,28 @@ queue for host DRAM, by the streaming design for on-board DRAM).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.sim import Event, Simulator, Store
+from repro.interconnect.fifo import FifoServer
+from repro.sim import Event, Simulator
 from repro.sim.trace import TimeWeighted
 from repro.units import transfer_ticks
 
 __all__ = ["DramChannel"]
 
-
-@dataclass
-class _DramRequest:
-    num_bytes: int
-    done: Event
-    value: Any
-    #: Posted writes complete at the end of their bus slot; reads add
-    #: the array access latency.
-    include_latency: bool = True
+# Bus requests are plain ``(num_bytes, done, value, latency)`` tuples:
+# ``latency`` is the channel's access latency for reads and 0 for posted
+# writes, which complete at the end of their bus slot.
 
 
-class DramChannel:
+class DramChannel(FifoServer):
     """A bandwidth-limited, fixed-latency memory channel.
 
     ``access(num_bytes)`` returns an event that fires when the data is
     available.  Requests occupy the data bus FIFO for their transfer
     time; completion fires ``latency`` ticks after the bus slot ends.
+    The bus is a :class:`~repro.interconnect.fifo.FifoServer`.
     """
 
     def __init__(
@@ -50,18 +45,16 @@ class DramChannel:
             raise ConfigError(f"{name}: negative latency {latency_ticks}")
         if bandwidth_bytes_per_s <= 0:
             raise ConfigError(f"{name}: bandwidth must be positive")
-        self.sim = sim
+        super().__init__(sim)
         self.name = name
         self.latency_ticks = latency_ticks
         self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
-        self._queue: Store = Store(sim, name=f"{name}-q")
         self.utilization = TimeWeighted(f"{name}-util")
         # Anchor at construction so idle time from t=0 counts in the
         # mean (the probe otherwise starts at its first update).
         self.utilization.update(sim.now, 0.0)
         self.bytes_transferred = 0
         self.accesses = 0
-        sim.process(self._pump(), name=f"{name}-pump")
 
     def register_metrics(self, registry, prefix: str) -> None:
         registry.register(
@@ -77,7 +70,7 @@ class DramChannel:
         if num_bytes <= 0:
             raise ConfigError(f"{self.name}: access of {num_bytes} bytes")
         done = Event(self.sim)
-        self._queue.put(_DramRequest(num_bytes, done, value))
+        self._submit((num_bytes, done, value, self.latency_ticks))
         return done
 
     def post_write(self, num_bytes: int) -> Event:
@@ -86,22 +79,20 @@ class DramChannel:
         if num_bytes <= 0:
             raise ConfigError(f"{self.name}: write of {num_bytes} bytes")
         done = Event(self.sim)
-        self._queue.put(_DramRequest(num_bytes, done, None, include_latency=False))
+        self._submit((num_bytes, done, None, 0))
         return done
 
-    def _pump(self):
-        while True:
-            request = yield self._queue.get()
-            self.utilization.update(self.sim.now, 1.0)
-            yield self.sim.timeout(
-                transfer_ticks(request.num_bytes, self.bandwidth_bytes_per_s)
-            )
-            self.utilization.update(self.sim.now, 0.0)
-            self.bytes_transferred += request.num_bytes
-            self.accesses += 1
-            latency = self.latency_ticks if request.include_latency else 0
-            self.sim._schedule_value(request.done, latency, request.value)
+    def _begin(self, request: tuple) -> int:
+        """Put ``request`` on the data bus."""
+        self.utilization.update(self.sim.now, 1.0)
+        return transfer_ticks(request[0], self.bandwidth_bytes_per_s)
 
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
+    def _end(self, request: tuple) -> None:
+        """Bus slot over: complete ``request``."""
+        num_bytes, done, value, latency = request
+        sim = self.sim
+        self.utilization.update(sim.now, 0.0)
+        self.bytes_transferred += num_bytes
+        self.accesses += 1
+        sim._schedule_value(done, latency, value)
+

@@ -13,8 +13,9 @@ from typing import Callable, Optional
 
 from repro.config import PcieConfig
 from repro.errors import ProtocolError
+from repro.interconnect.fifo import FifoServer
 from repro.interconnect.packets import Tlp
-from repro.sim import Simulator, Store
+from repro.sim import Event, Simulator
 from repro.sim.trace import TimeWeighted
 from repro.units import ns, transfer_ticks
 
@@ -23,8 +24,13 @@ __all__ = ["PcieDirection", "PcieLink"]
 Receiver = Callable[[Tlp], None]
 
 
-class PcieDirection:
-    """One simplex channel (downstream: host->device, or upstream)."""
+class PcieDirection(FifoServer):
+    """One simplex channel (downstream: host->device, or upstream).
+
+    The transmitter is a :class:`~repro.interconnect.fifo.FifoServer`:
+    a TLP occupies the wire for its serialization time, and the end of
+    its serialization schedules its delivery.
+    """
 
     def __init__(
         self,
@@ -32,11 +38,13 @@ class PcieDirection:
         config: PcieConfig,
         name: str,
     ) -> None:
-        self.sim = sim
+        super().__init__(sim)
         self.config = config
         self.name = name
-        self._queue: Store = Store(sim, name=f"{name}-txq")
         self._receiver: Optional[Receiver] = None
+        self._propagation = ns(config.propagation_ns)
+        # The TLP on the wire: (wire bytes, serialization start).
+        self._on_wire: tuple[int, int] = (0, 0)
         self.utilization = TimeWeighted(f"{name}-util")
         # Anchor the time-weighted mean at construction: the channel is
         # *idle* from t=0, and that idle time belongs in the mean (the
@@ -48,8 +56,9 @@ class PcieDirection:
         self.packets = 0
         self.packets_by_kind: dict[str, int] = {}
         # TLP conservation accounting for the invariant monitor:
-        # ``tlps_sent == packets serialized + queued + (0|1 in the
-        # pump)`` and ``tlps_delivered <= packets`` at any stable tick.
+        # ``tlps_sent == packets serialized + queued + (0|1 heading for
+        # or on the wire)`` and ``tlps_delivered <= packets`` at any
+        # stable tick.
         self.tlps_sent = 0
         self.tlps_delivered = 0
         #: Optional observability hooks (None keeps hot paths untouched).
@@ -57,7 +66,6 @@ class PcieDirection:
         self._trace_pid = 0
         self._trace_tid_wire = 0
         self._trace_tid_prop = 0
-        sim.process(self._pump(), name=f"pcie-{name}")
 
     def attach_tracer(
         self, tracer, pid: int, tid_wire: int, tid_prop: int
@@ -96,79 +104,73 @@ class PcieDirection:
         posted semantics; backpressure appears as queueing delay)."""
         tlp.sent_at = self.sim.now
         self.tlps_sent += 1
-        self._queue.put(tlp)
+        self._submit(tlp)
 
-    def _pump(self):
-        propagation = ns(self.config.propagation_ns)
-        while True:
-            tlp = yield self._queue.get()
-            if self._receiver is None:
-                raise ProtocolError(f"{self.name}: packet sent with no receiver")
-            size = tlp.wire_bytes(self.config.header_bytes)
-            serialize_start = self.sim.now
-            self.utilization.update(serialize_start, 1.0)
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.counter(
-                    "pcie",
-                    self._trace_pid,
-                    f"{self.name}.txq",
-                    serialize_start,
-                    {"queued": len(self._queue), "busy": 1},
-                )
-            yield self.sim.timeout(
-                transfer_ticks(size, self.config.bandwidth_bytes_per_s)
+    def _begin(self, tlp: Tlp) -> int:
+        """Serialize ``tlp`` onto the wire."""
+        if self._receiver is None:
+            raise ProtocolError(f"{self.name}: packet sent with no receiver")
+        size = tlp.wire_bytes(self.config.header_bytes)
+        serialize_start = self.sim.now
+        self._on_wire = (size, serialize_start)
+        self.utilization.update(serialize_start, 1.0)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.counter(
+                "pcie",
+                self._trace_pid,
+                f"{self.name}.txq",
+                serialize_start,
+                {"queued": len(self._queue), "busy": 1},
             )
-            now = self.sim.now
-            self.utilization.update(now, 0.0)
-            self.wire_bytes += size
-            self.payload_bytes += tlp.payload_bytes
-            self.packets += 1
-            kind = tlp.kind.value
-            self.packets_by_kind[kind] = self.packets_by_kind.get(kind, 0) + 1
-            if tracer is not None:
-                tracer.complete(
-                    "pcie",
-                    self._trace_pid,
-                    self._trace_tid_wire,
-                    f"tlp-{kind}",
-                    serialize_start,
-                    now,
-                    args={
-                        "wire_bytes": size,
-                        "payload_bytes": tlp.payload_bytes,
-                        "queued_ticks": serialize_start - tlp.sent_at,
-                    },
-                )
-                tracer.complete(
-                    "pcie",
-                    self._trace_pid,
-                    self._trace_tid_prop,
-                    f"prop-{kind}",
-                    now,
-                    now + propagation,
-                )
-                tracer.counter(
-                    "pcie",
-                    self._trace_pid,
-                    f"{self.name}.txq",
-                    now,
-                    {"queued": len(self._queue), "busy": 0},
-                )
-            delivery = self.sim.timeout(propagation)
-            delivery.add_callback(self._deliver(tlp))
+        return transfer_ticks(size, self.config.bandwidth_bytes_per_s)
 
-    def _deliver(self, tlp: Tlp):
-        def callback(_event) -> None:
-            assert self._receiver is not None
-            self.tlps_delivered += 1
-            self._receiver(tlp)
+    def _end(self, tlp: Tlp) -> None:
+        """Serialization done: account for ``tlp`` and propagate it."""
+        size, serialize_start = self._on_wire
+        now = self.sim.now
+        propagation = self._propagation
+        self.utilization.update(now, 0.0)
+        self.wire_bytes += size
+        self.payload_bytes += tlp.payload_bytes
+        self.packets += 1
+        kind = tlp.kind.value
+        self.packets_by_kind[kind] = self.packets_by_kind.get(kind, 0) + 1
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.complete(
+                "pcie",
+                self._trace_pid,
+                self._trace_tid_wire,
+                f"tlp-{kind}",
+                serialize_start,
+                now,
+                args={
+                    "wire_bytes": size,
+                    "payload_bytes": tlp.payload_bytes,
+                    "queued_ticks": serialize_start - tlp.sent_at,
+                },
+            )
+            tracer.complete(
+                "pcie",
+                self._trace_pid,
+                self._trace_tid_prop,
+                f"prop-{kind}",
+                now,
+                now + propagation,
+            )
+            tracer.counter(
+                "pcie",
+                self._trace_pid,
+                f"{self.name}.txq",
+                now,
+                {"queued": len(self._queue), "busy": 0},
+            )
+        self.sim.timeout(propagation, tlp).add_callback(self._deliver)
 
-        return callback
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
+    def _deliver(self, event: Event) -> None:
+        self.tlps_delivered += 1
+        self._receiver(event._value)
 
     def useful_fraction(self) -> float:
         """Payload bytes / wire bytes delivered so far."""

@@ -305,7 +305,7 @@ class InvariantMonitor:
                 f"{serialized} serialized, {delivered} delivered"
             )
         # sent == delivered + in-flight, where in-flight decomposes into
-        # the tx queue, at most one TLP being serialized by the pump,
+        # the tx queue, at most one TLP heading for or on the wire,
         # and (serialized - delivered) packets in propagation.
         serializing = sent - serialized - queued
         if serializing not in (0, 1):

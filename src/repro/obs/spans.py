@@ -192,11 +192,12 @@ class _SegmentStats:
             self.stats[name].record(ticks)
 
 
-def _stat_view(stat: LatencyStat) -> tuple[int, int]:
-    """(count, total) from the measurement window when one recorded
-    observations, else lifetime -- the same fallback rule as
-    ``LatencyStat.percentile``."""
-    if stat.windowed_count:
+def _stat_view(stat: LatencyStat, windowed: bool) -> tuple[int, int]:
+    """(count, total) over the measurement window, or over the stat's
+    lifetime.  A windowed view never falls back to lifetime: a window
+    that recorded no completion reports 0 requests, as the harness's
+    windowed completion count does."""
+    if windowed:
         return stat.windowed_count, stat.windowed_total
     return stat.count, stat.total
 
@@ -206,7 +207,9 @@ class SpanLedger:
 
     With ``probes`` given (the system's :class:`ProbeSet`), per-segment
     stats ride the harness measurement window exactly like every other
-    probe; standalone ledgers (tests) aggregate over their lifetime.
+    probe, and :meth:`attribution` reports that window -- an empty one
+    as 0 requests; standalone ledgers (tests) aggregate over their
+    lifetime.
     """
 
     def __init__(
@@ -371,9 +374,11 @@ class SpanLedger:
         it fails only if the aggregation itself loses or double-counts
         a request.
         """
-        sojourn_count, sojourn_total = _stat_view(self.sojourn)
+        windowed = self.probes is not None
+        sojourn_count, sojourn_total = _stat_view(self.sojourn, windowed)
         segments_total = sum(
-            _stat_view(stat)[1] for stat in self._segments.stats.values()
+            _stat_view(stat, windowed)[1]
+            for stat in self._segments.stats.values()
         )
         if segments_total != sojourn_total:
             raise SpanConservationError(
@@ -383,13 +388,13 @@ class SpanLedger:
             )
         table = {
             "requests": sojourn_count,
-            "sojourn": self._render_stat(self.sojourn, sojourn_total),
+            "sojourn": self._render_stat(self.sojourn, sojourn_total, windowed),
             "segments": {
-                name: self._render_stat(stat, sojourn_total)
+                name: self._render_stat(stat, sojourn_total, windowed)
                 for name, stat in self._segments.stats.items()
             },
             "per_core": {
-                f"core{core_id}": self._render_scope(per_core)
+                f"core{core_id}": self._render_scope(per_core, windowed)
                 for core_id, per_core in sorted(self._per_core.items())
             },
             "conservation": {
@@ -406,22 +411,22 @@ class SpanLedger:
         return table
 
     @classmethod
-    def _render_scope(cls, scope: _SegmentStats) -> dict:
+    def _render_scope(cls, scope: _SegmentStats, windowed: bool) -> dict:
         """Render one core's segment stats.  The denominator is the
         core's own sojourn time (= the sum of its segment totals, by
         conservation), so each core's shares sum to 1 and cores with
         different loads stay comparable."""
         core_total = sum(
-            _stat_view(stat)[1] for stat in scope.stats.values()
+            _stat_view(stat, windowed)[1] for stat in scope.stats.values()
         )
         return {
-            name: cls._render_stat(stat, core_total)
+            name: cls._render_stat(stat, core_total, windowed)
             for name, stat in scope.stats.items()
         }
 
     @staticmethod
-    def _render_stat(stat: LatencyStat, sojourn_total: int) -> dict:
-        count, total = _stat_view(stat)
+    def _render_stat(stat: LatencyStat, sojourn_total: int, windowed: bool) -> dict:
+        count, total = _stat_view(stat, windowed)
         mean = total / count if count else 0.0
         return {
             "count": count,

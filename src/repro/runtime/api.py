@@ -74,6 +74,8 @@ class AccessContext:
         #: ``None`` (the default, and always the case outside span-
         #: enabled service runs) makes every stamp a no-op.
         self.span = None
+        #: :meth:`software_cost` ticks per instruction count.
+        self._cost_ticks: dict[int, int] = {}
 
     def _record_latency(self, started_at: int, tokens: Sequence[LoadToken]) -> None:
         """Record issue-to-data-ready latency once the batch lands."""
@@ -124,9 +126,12 @@ class AccessContext:
         """Charge runtime/protocol code: serialized (fences, dependent
         loads), so it occupies the front end at ``overhead_ipc``."""
         if instructions > 0:
-            yield from self.core.busy(
-                self.core.cycles(instructions / self.threading_config.overhead_ipc)
-            )
+            ticks = self._cost_ticks.get(instructions)
+            if ticks is None:
+                ticks = self._cost_ticks[instructions] = self.core.cycles(
+                    instructions / self.threading_config.overhead_ipc
+                )
+            yield from self.core.busy(ticks)
 
     def _call_overhead(self):
         yield from self.software_cost(

@@ -8,6 +8,7 @@ units (nanoseconds, gigahertz, bytes) and converted at the boundary.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 #: One picosecond, the base tick of the simulation clock.
@@ -91,9 +92,14 @@ class Frequency:
         if self.hertz <= 0:
             raise ValueError(f"frequency must be positive, got {self.hertz}")
 
-    @property
+    @functools.cached_property
     def period_ps(self) -> int:
-        """Length of one cycle in simulation ticks (>= 1)."""
+        """Length of one cycle in simulation ticks (>= 1).
+
+        Cached: ``cycles()`` runs on per-instruction paths.  Not a
+        dataclass field, so equality, hashing and config digests still
+        see only ``hertz``.
+        """
         return max(1, round(S / self.hertz))
 
     def cycles(self, n: float) -> int:
@@ -123,11 +129,13 @@ def bytes_per_second(rate: float) -> float:
     return rate / S
 
 
+@functools.lru_cache(maxsize=None)
 def transfer_ticks(num_bytes: int, rate_bytes_per_s: float) -> int:
     """Serialization delay of ``num_bytes`` at ``rate_bytes_per_s``.
 
     Always at least one tick for a non-empty transfer so that ordering
-    through a link is strict.
+    through a link is strict.  Memoised: links call it once per packet,
+    with a few distinct sizes and rates.
     """
     if num_bytes <= 0:
         return 0

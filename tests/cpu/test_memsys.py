@@ -159,3 +159,40 @@ def test_fill_latency_stat_records():
     run_load(sim, memsys, 0x1000)
     assert memsys.fill_latency.count == 1
     assert memsys.fill_latency.mean == pytest.approx(ns(100))
+
+
+class _BrokenTarget:
+    """A memory target whose reads fail: after ``delay`` ticks, or
+    synchronously when ``delay`` is None."""
+
+    def __init__(self, sim, delay):
+        self.sim = sim
+        self.delay = delay
+
+    def read_line(self, line_addr):
+        if self.delay is None:
+            raise RuntimeError(f"read of {line_addr:#x} rejected")
+        failed = self.sim.event()
+        self.sim.timeout(self.delay).add_callback(
+            lambda _event: failed.fail(RuntimeError(f"read of {line_addr:#x} failed"))
+        )
+        return failed
+
+
+@pytest.mark.parametrize("delay", [ns(200), 0, None])
+def test_failed_line_read_releases_the_queue_slot_and_raises(delay):
+    sim = Simulator()
+    uncore = Uncore(sim, UncoreConfig(pcie_queue_entries=2, hop_ns=10.0))
+    uncore.attach_target(AddressSpace.DEVICE, _BrokenTarget(sim, delay))
+    memsys = CoreMemorySystem(
+        sim,
+        core_id=0,
+        cache_config=CacheConfig(),
+        lfb_entries=4,
+        uncore=uncore,
+        frequency=gigahertz(1.0),
+    )
+    memsys.load_line(0x1000, AddressSpace.DEVICE)
+    with pytest.raises(RuntimeError, match="read of 0x1000"):
+        sim.run()
+    assert uncore.queue(AddressSpace.DEVICE).in_use == 0

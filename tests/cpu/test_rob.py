@@ -124,3 +124,31 @@ def test_already_fired_completion_retires_immediately():
     sim.run()
     assert retired == [0]
     assert rob.free == 4
+
+
+def test_failed_completion_raises_out_of_run():
+    sim = Simulator()
+    rob = ReorderBuffer(sim, capacity=4)
+    done = sim.event()
+
+    def frontend():
+        yield from rob.allocate(2)
+        rob.commit(2, done)
+        yield sim.timeout(5)
+        done.fail(RuntimeError("execution fault"))
+
+    sim.process(frontend())
+    with pytest.raises(RuntimeError, match="execution fault"):
+        sim.run()
+    assert rob.retired_groups == 0
+
+
+def test_try_allocate_takes_free_slots_and_never_queues():
+    sim = Simulator()
+    rob = ReorderBuffer(sim, capacity=4)
+    assert rob.try_allocate(3)
+    assert rob.used == 3 and rob.max_used == 3 and rob.allocated_slots == 3
+    assert not rob.try_allocate(2)  # would overflow: the caller must stall
+    assert not rob.try_allocate(0)  # invalid sizes fall to allocate()
+    assert not rob.try_allocate(5)
+    assert rob.used == 3 and rob.allocated_slots == 3

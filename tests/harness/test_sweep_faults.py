@@ -241,11 +241,21 @@ class _InterruptAfter:
         pass
 
 
-def test_interrupted_sweep_resumes_bit_for_bit(tmp_path):
+def test_interrupted_sweep_resumes_bit_for_bit(tmp_path, monkeypatch):
     jobs = [_job(work) for work in (10, 20, 30, 40, 50, 60)]
     reference = SweepEngine(jobs=2, use_cache=False)
     expected = reference.run(SweepSpec(name="resume", jobs=list(jobs)))
 
+    # Pace the workers so the interrupt lands mid-sweep however fast the
+    # simulator is: the parent harvests done records every ~20 ms, and
+    # six unpaced TINY jobs can all finish between two harvests.  The
+    # pacing delays each job; it changes no payload.
+    def _paced(*args, **kwargs):
+        if _in_worker():
+            time.sleep(0.1)
+        return _REAL_EXECUTE(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "_execute_job", _paced)
     queue_dir = tmp_path / "q"
     interrupted = SweepEngine(
         jobs=2, use_cache=False, queue_dir=queue_dir,

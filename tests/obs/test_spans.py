@@ -228,6 +228,26 @@ def test_windowed_probes_exclude_warmup_from_attribution():
     assert table["conservation"]["sojourn_ticks"] == 100
 
 
+def test_windowed_ledger_reports_an_empty_window_as_zero_requests():
+    probes = ProbeSet()
+    ledger = SpanLedger(probes)
+    ledger.prepare_cores([0])
+    _closed(ledger, key=1, arrive=0, finish=10_000)  # warmup only
+    probes.set_window_active(True)
+    probes.set_window_active(False)
+    table = ledger.attribution()
+    assert table["requests"] == 0
+    assert table["sojourn"]["count"] == 0
+    assert table["conservation"]["sojourn_ticks"] == 0
+    assert table["conservation"]["closed"] == 1
+
+
+def test_standalone_ledger_reports_lifetime_counts():
+    ledger = SpanLedger()
+    _closed(ledger, key=1, arrive=0, finish=40)
+    assert ledger.attribution()["requests"] == 1
+
+
 def test_prepare_cores_preactivates_per_core_stats():
     probes = ProbeSet()
     ledger = SpanLedger(probes)

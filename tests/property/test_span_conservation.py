@@ -12,7 +12,7 @@ sweep cache.
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import (
@@ -58,6 +58,13 @@ def _run(mechanism, cores, workers, rate, ring, theta, seed):
     ring=st.sampled_from([16, 64]),
     theta=st.sampled_from([0.0, 0.9]),
     seed=st.integers(min_value=1, max_value=2**31),
+)
+# A measurement window that records no completion: the attribution
+# table must report the window's 0 requests, not fall back to the one
+# request that completed during warmup.
+@example(
+    mechanism=AccessMechanism.ON_DEMAND, cores=1, workers=4, rate=0.1,
+    ring=16, theta=0.0, seed=723,
 )
 @settings(max_examples=12, deadline=None)
 def test_span_conservation_holds_for_random_configs(

@@ -1,7 +1,12 @@
 """Tests of the kernel's observability layer: per-simulator counters
 and the cross-simulator :func:`collect_kernel_stats` collector."""
 
+import pytest
+
+from repro.config import AccessMechanism, DeviceConfig, SystemConfig
+from repro.harness.experiment import MeasureWindow, run_microbench
 from repro.sim import Simulator, Store, collect_kernel_stats
+from repro.workloads.microbench import MicrobenchSpec
 
 
 def _producer_consumer(sim, items=100):
@@ -112,3 +117,30 @@ def test_empty_collector_stats_register_no_simulator():
     assert set(second) == {"simulators"} | (
         set(Simulator().kernel_stats()) - {"pending_events"}
     )
+
+
+@pytest.mark.parametrize(
+    "mechanism", [AccessMechanism.PREFETCH, AccessMechanism.SOFTWARE_QUEUE]
+)
+def test_spawned_processes_do_not_scale_with_accesses(mechanism):
+    """Line fills, DMA servers and queue pumps are callback chains: a
+    run spawns the same processes (threads, fetchers, ...) however many
+    accesses it makes."""
+    config = SystemConfig(
+        mechanism=mechanism,
+        threads_per_core=8,
+        device=DeviceConfig(total_latency_us=1.0),
+    )
+    spec = MicrobenchSpec(work_count=100)
+
+    def run(measure_us):
+        with collect_kernel_stats() as kernel:
+            result = run_microbench(
+                config, spec, MeasureWindow(warmup_us=5.0, measure_us=measure_us)
+            )
+        return kernel.stats()["processes_spawned"], result.stats.accesses
+
+    spawned, accesses = run(20.0)
+    spawned_doubled, accesses_doubled = run(40.0)
+    assert accesses_doubled > accesses > 0
+    assert spawned_doubled == spawned
