@@ -24,7 +24,6 @@ invocation appends a provenance record to ``.repro_runs/ledger.jsonl``
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -152,13 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
              "after this long (default 900)",
     )
     worker.add_argument(
-        "--no-cache", action="store_true",
-        default=bool(os.environ.get("REPRO_NO_CACHE")),
-        help="disable the shared on-disk result cache",
+        "--no-cache", action="store_true", default=None,
+        help="disable the shared on-disk result cache "
+             "(as $REPRO_NO_CACHE does)",
     )
     worker.add_argument(
         "--cache-dir", metavar="DIR",
-        default=os.environ.get("REPRO_CACHE_DIR", ".repro_cache"),
         help="result-cache directory shared with the sweep "
              "(default: $REPRO_CACHE_DIR or .repro_cache)",
     )
@@ -322,17 +320,15 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """Sweep-engine flags shared by ``figure`` and ``sweep``."""
     parser.add_argument(
         "--jobs", type=int, metavar="N",
-        default=int(os.environ.get("REPRO_SWEEP_JOBS", "1") or "1"),
         help="worker processes for the sweep (default: $REPRO_SWEEP_JOBS or 1)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true",
-        default=bool(os.environ.get("REPRO_NO_CACHE")),
-        help="disable the on-disk result cache",
+        "--no-cache", action="store_true", default=None,
+        help="disable the on-disk result cache "
+             "(as $REPRO_NO_CACHE does)",
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR",
-        default=os.environ.get("REPRO_CACHE_DIR", ".repro_cache"),
         help="result-cache directory (default: $REPRO_CACHE_DIR or .repro_cache)",
     )
     parser.add_argument(
@@ -347,19 +343,16 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout-s", type=float, metavar="S",
-        default=float(os.environ.get("REPRO_SWEEP_TIMEOUT_S", "900") or "900"),
-        help="per-job deadline, measured from the observed job start "
+        help="per-job deadline, measured from the job's claim "
              "(default: $REPRO_SWEEP_TIMEOUT_S or 900)",
     )
     parser.add_argument(
         "--retries", type=int, metavar="N",
-        default=int(os.environ.get("REPRO_SWEEP_RETRIES", "1") or "1"),
         help="worker-side attempts per job before the in-process "
              "fallback (default: $REPRO_SWEEP_RETRIES or 1)",
     )
     parser.add_argument(
         "--queue", metavar="DIR",
-        default=os.environ.get("REPRO_SWEEP_QUEUE") or None,
         help="persistent work-queue root: per-job state survives "
              "interrupts and crashes, and standalone `repro "
              "sweep-worker` processes can share the work "
@@ -374,22 +367,26 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_from_args(args: argparse.Namespace) -> SweepEngine:
+    """The sweep engine: given flags win, the environment
+    (:meth:`SweepEngine.from_env`) supplies the rest."""
     progress = None
     if args.progress:
         from repro.harness.progress import SweepProgress
 
         progress = SweepProgress()
-    queue_dir = args.queue or (".repro_queue" if args.resume else None)
-    return SweepEngine(
+    engine = SweepEngine.from_env(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
+        use_cache=False if args.no_cache else None,
         check_invariants=args.check_invariants,
         progress=progress,
-        queue_dir=queue_dir,
+        queue_dir=args.queue,
         timeout_s=args.timeout_s,
         retries=args.retries,
     )
+    if args.resume and engine.queue_dir is None:
+        engine.queue_dir = ".repro_queue"
+    return engine
 
 
 def _system_config(args: argparse.Namespace) -> SystemConfig:
@@ -561,13 +558,10 @@ def _note_interrupt(args: argparse.Namespace, engine: SweepEngine, out,
         print(f"queue         : {queue_info['dir']} "
               f"({counts.get('done', 0)} done, {unresolved} unresolved, "
               f"{counts.get('failed', 0)} failed)", file=out)
-        resume = f"repro {args.command} {args.name} --scale {args.scale}"
-        if args.queue:
-            resume += f" --queue {args.queue}"
-        else:
-            resume += " --resume"
-        if args.jobs != 1:
-            resume += f" --jobs {args.jobs}"
+        resume = (f"repro {args.command} {args.name} --scale {args.scale}"
+                  f" --queue {engine.queue_dir}")
+        if engine.jobs != 1:
+            resume += f" --jobs {engine.jobs}"
         print(f"resume with   : {resume}", file=out)
     else:
         print("no --queue given: completed jobs survive only in the "
@@ -680,9 +674,11 @@ def _command_sweep(args: argparse.Namespace, out, record=None) -> int:
 
 def _command_sweep_worker(args: argparse.Namespace, out, record=None) -> int:
     from repro.harness import coordinator
-    from repro.harness.sweep import ResultCache
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cache = SweepEngine.from_env(
+        cache_dir=args.cache_dir,
+        use_cache=False if args.no_cache else None,
+    ).cache
 
     def on_queue(queue) -> None:
         manifest = queue.manifest()

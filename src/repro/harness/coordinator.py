@@ -11,14 +11,17 @@ into a durable on-disk work queue:
   worker holds ``leases/<key>.json``), ``done`` (``done/<key>.json``
   carries the result payload) or ``failed`` (``failed/<key>.json``
   carries a structured error);
-* claims are arbitrated by atomic ``O_EXCL`` lease-file creation, so
-  any number of worker processes -- spawned by the engine, launched by
-  hand via ``repro sweep-worker --queue DIR``, or running on another
-  host against a shared filesystem -- can drain one queue without a
+* claims are arbitrated by publishing a fully written lease file with
+  ``os.link``, which fails if a lease already exists, so any number of
+  worker processes -- spawned by the engine, launched by hand via
+  ``repro sweep-worker --queue DIR``, or running on another host
+  against a shared filesystem -- can drain one queue without a
   coordinator process.  Leases expire (``lease_s``), so a job claimed
   by a crashed worker returns to ``pending`` and is re-claimed; jobs
   are idempotent and results content-addressed, so the benign race of
-  two workers finishing the same job writes the same record twice;
+  two workers stealing the same stale lease writes the same record
+  twice.  Each lease names its holder and its claim time, which is all
+  the sweep engine needs to supervise its own workers;
 * every queue carries an **experiment manifest** (``manifest.json``):
   the sweep's spec digest, salt/:data:`~repro.harness.sweep
   .MODEL_VERSION`, a BENCH-style provenance stamp (git SHA), the job
@@ -38,6 +41,7 @@ worker polling); nothing in this module feeds simulated time.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -58,6 +62,7 @@ __all__ = [
     "job_to_jsonable",
     "job_from_jsonable",
     "worker_id",
+    "run_claimed",
     "worker_loop",
     "drain_queue_tree",
     "find_queues",
@@ -75,7 +80,8 @@ FAILED = "failed"
 #: Default lease duration: generous enough for the slowest full-scale
 #: job, short enough that a crashed host's jobs recirculate within a
 #: long sweep's lifetime.  The engine supervises its *local* workers
-#: far more tightly (``timeout_s`` from the observed job start).
+#: more tightly (``timeout_s`` from the lease's claim time), and their
+#: leases last ``timeout_s`` longer, so its kill always comes first.
 DEFAULT_LEASE_S = 900.0
 
 
@@ -200,16 +206,27 @@ def _worker_alive(worker) -> Optional[bool]:
 # Atomic JSON files
 # ---------------------------------------------------------------------------
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` atomically (temp file + ``os.replace``), so a
-    reader never observes a torn record and a crashed writer leaves
-    the previous state intact."""
+def _write_json(path: Path, payload: dict, publish=os.replace) -> None:
+    """Write ``payload`` atomically: to a temp file, then ``publish``
+    it at ``path``.  ``os.replace`` (the default) swaps the record in,
+    so a reader never observes a torn record and a crashed writer
+    leaves the previous state intact; ``os.link`` instead raises
+    ``FileExistsError`` rather than replace an existing file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(f".tmp.{os.getpid()}")
     with open(tmp, "w") as handle:
         json.dump(payload, handle, sort_keys=True)
         handle.write("\n")
-    os.replace(tmp, path)
+    try:
+        publish(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _lease_record(worker: str, lease_s: float) -> dict:
+    now = time.time()
+    return {"worker": worker, "acquired_at": now, "expires_at": now + lease_s}
 
 
 def _read_json(path: Path) -> Optional[dict]:
@@ -367,6 +384,16 @@ class WorkQueue:
     def failure(self, key: str) -> Optional[dict]:
         return _read_json(self.failed_dir / f"{key}.json")
 
+    def listing(self) -> list[set]:
+        """The keys with a ``done/``, a ``failed/`` and a ``leases/``
+        file, from one directory read each: a poller opens only the
+        records that exist."""
+        return [
+            {name[:-5] for name in (os.listdir(sub) if sub.is_dir() else ())
+             if name.endswith(".json")}
+            for sub in (self.done_dir, self.failed_dir, self.leases_dir)
+        ]
+
     def state(self, key: str) -> str:
         if self.done_record(key) is not None:
             return DONE
@@ -379,32 +406,43 @@ class WorkQueue:
     # -- transitions -------------------------------------------------------
 
     def try_claim(self, key: str, worker: str, lease_s: float) -> bool:
-        """Atomically claim ``key``; False if someone else holds it.
+        """Atomically claim ``key``; False if a live lease holds it.
 
-        An expired (or torn) lease is stolen with an atomic replace.
-        Two workers observing the same expired lease can both "win"
-        the steal -- that benign race costs one redundant execution of
-        a deterministic job, never a wrong result.
+        The lease is written in full to a temp file and published with
+        ``os.link``, which fails if any lease exists: no reader ever
+        sees a half-written lease, so two claimants of a free job
+        cannot both win.  An expired lease (or one held by a dead local
+        worker) is stolen with an atomic replace.  Two workers stealing
+        the same stale lease can both "win" -- that benign race costs
+        one redundant execution of a deterministic job, never a wrong
+        result.
+
+        A claim that wins only because the previous holder finished the
+        job meanwhile (after the caller checked its state) is dropped
+        again: ``complete`` writes the done record before it releases
+        the lease, so a done job is never run twice this way.
         """
         path = self.leases_dir / f"{key}.json"
-        record = {
-            "worker": worker,
-            "acquired_at": time.time(),
-            "expires_at": time.time() + lease_s,
-        }
-        payload = json.dumps(record, sort_keys=True) + "\n"
+        record = _lease_record(worker, lease_s)
         try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+            _write_json(path, record, publish=os.link)
         except FileExistsError:
             if self.lease(key) is not None:
                 return False
             _write_json(path, record)
-            return True
         except OSError:
             return False
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
+        if self.done_record(key) is not None:
+            self.release(key)
+            return False
         return True
+
+    def take_over(self, key: str, worker: str) -> None:
+        """Claim ``key`` unconditionally.  Only for a job no worker can
+        claim meanwhile: a failed one, or one whose lease a dead worker
+        of the caller still holds."""
+        _write_json(self.leases_dir / f"{key}.json",
+                    _lease_record(worker, DEFAULT_LEASE_S))
 
     def claim(
         self, worker: str, lease_s: float = DEFAULT_LEASE_S
@@ -500,6 +538,63 @@ def _failure_record(error: BaseException, worker: str) -> dict:
     }
 
 
+def run_claimed(
+    queue: WorkQueue,
+    key: str,
+    job,
+    worker: str,
+    collect_metrics: bool,
+    check_invariants: bool,
+    cache=None,
+    salt: str = "",
+) -> dict:
+    """Resolve the job ``key`` the caller has claimed, and return its
+    record ``{payload, cached, worker, wall_s}``.
+
+    ``job`` is the :class:`~repro.harness.sweep.SweepJob` itself, or
+    its queued JSON description (rebuilt inside the failure guard).  A
+    warm ``cache`` entry completes the job without simulating
+    (``cached: true``); otherwise the job executes, completes with its
+    fresh payload, and that payload is stored back into ``cache``.  A
+    job that raises is ``fail``-ed with its failure record (``error``,
+    ``error_type``, ``worker``) instead; the returned record then also
+    carries ``error`` and has the payload ``{"kind": "failure",
+    **failure record}``.  An interrupt releases the claim.
+    """
+    from repro.harness import sweep as sweep_mod
+
+    record = {"payload": None, "cached": False, "worker": worker,
+              "wall_s": 0.0}
+    t0 = time.perf_counter()
+    try:
+        record["payload"] = cache.load(key) if cache is not None else None
+        record["cached"] = record["payload"] is not None
+        if not record["cached"]:
+            if isinstance(job, dict):
+                job = job_from_jsonable(job)
+            t0 = time.perf_counter()
+            # Resolved through the module so fault-injection tests
+            # (and future instrumentation) see one patch point.
+            record["payload"] = sweep_mod._execute_job(
+                job, collect_metrics, check_invariants
+            )
+            record["wall_s"] = time.perf_counter() - t0
+            if cache is not None:
+                cache.store(key, job, salt, record["payload"])
+    except KeyboardInterrupt:
+        queue.release(key)
+        raise
+    except Exception as error:
+        failure = _failure_record(error, worker)
+        queue.fail(key, failure)
+        record.update(payload={"kind": "failure", **failure},
+                      error=failure["error"],
+                      wall_s=time.perf_counter() - t0)
+        return record
+    queue.complete(key, record)
+    return record
+
+
 def worker_loop(
     queue: WorkQueue,
     worker: Optional[str] = None,
@@ -512,16 +607,16 @@ def worker_loop(
     max_jobs: Optional[int] = None,
     poll_s: float = 0.05,
     wait_for_unresolved: bool = False,
-    events=None,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> dict:
     """Claim-execute-complete until the queue drains.
 
     This single loop serves three callers: the engine's local worker
-    processes (which pass an ``events`` queue so the parent can watch
-    job starts for tight timeout supervision), the standalone
-    ``repro sweep-worker`` subcommand, and tests (``max_jobs`` makes
-    a deliberately partial run for interrupt/resume scenarios).
+    processes (which the engine watches only through their leases and
+    records), the standalone ``repro sweep-worker`` subcommand, and
+    tests (``max_jobs`` makes a deliberately partial run for
+    interrupt/resume scenarios).  Each claimed job goes through
+    :func:`run_claimed`, as the engine's in-process jobs do.
 
     ``cache`` is an optional shared
     :class:`~repro.harness.sweep.ResultCache`: a warm entry is served
@@ -533,8 +628,6 @@ def worker_loop(
     belongs to the coordinating engine.  Returns this worker's
     counters (claims/done/failed/cache_hits).
     """
-    from repro.harness import sweep as sweep_mod
-
     if worker is None:
         worker = worker_id()
     manifest = queue.manifest()
@@ -556,55 +649,19 @@ def worker_loop(
             continue
         key, description = claimed
         stats["claims"] += 1
-        if events is not None:
-            # The monotonic stamp lets a supervising engine measure
-            # its per-job timeout from the *actual* start of execution
-            # (CLOCK_MONOTONIC is comparable across host processes).
-            events.put(("started", worker, key, time.monotonic()))
-        try:
-            hit = cache.load(key) if cache is not None else None
-            if hit is not None:
-                queue.complete(key, {
-                    "payload": hit, "cached": True,
-                    "worker": worker, "wall_s": 0.0,
-                })
-                stats["cache_hits"] += 1
-            else:
-                job = job_from_jsonable(description)
-                t0 = time.perf_counter()
-                # Resolved through the module so fault-injection tests
-                # (and future instrumentation) see one patch point.
-                payload = sweep_mod._execute_job(
-                    job, collect_metrics, check_invariants
-                )
-                wall_s = time.perf_counter() - t0
-                if cache is not None:
-                    cache.store(key, job, salt, payload)
-                queue.complete(key, {
-                    "payload": payload, "cached": False,
-                    "worker": worker, "wall_s": wall_s,
-                })
-                stats["done"] += 1
-        except KeyboardInterrupt:
-            queue.release(key)
-            raise
-        except Exception as error:
-            queue.fail(key, _failure_record(error, worker))
+        record = run_claimed(
+            queue, key, description, worker,
+            collect_metrics, check_invariants, cache, salt,
+        )
+        if "error" in record:
             stats["failed"] += 1
-            if events is not None:
-                events.put(("failed", worker, key))
-            continue
-        if events is not None:
-            events.put(("done", worker, key))
+        else:
+            stats["cache_hits" if record["cached"] else "done"] += 1
     return stats
 
 
 def _local_worker_main(
-    root: str,
-    worker: str,
-    events,
-    collect_metrics: bool,
-    check_invariants: bool,
+    root: str, worker: str, collect_metrics: bool, check_invariants: bool,
     lease_s: float,
 ) -> None:
     """Entry point of the sweep engine's local worker processes.
@@ -613,7 +670,10 @@ def _local_worker_main(
     resolved (``wait_for_unresolved`` keeps the worker alive while
     peers hold leases, so a retried job finds a ready claimant).
     Local workers carry no cache handle: the supervising engine is the
-    single cache writer, harvesting done records in the parent.
+    single cache writer, harvesting done records in the parent.  Their
+    ``lease_s`` outlasts the engine's per-job timeout: a hung claim
+    must be killed by the engine, not expire and be stolen by an idle
+    peer while its worker keeps hanging.
     """
     try:
         worker_loop(
@@ -624,11 +684,10 @@ def _local_worker_main(
             lease_s=lease_s,
             poll_s=0.02,
             wait_for_unresolved=True,
-            events=events,
         )
     except KeyboardInterrupt:
         # SIGINT reaches the whole process group; the worker's lease
-        # was released by worker_loop, so just exit quietly.
+        # was released by run_claimed, so just exit quietly.
         pass
 
 

@@ -7,10 +7,11 @@ sweep layer embarrassingly parallel and perfectly cacheable:
 
 * a :class:`SweepSpec` is a declarative list of :class:`SweepJob`
   entries (a microbenchmark measurement or a timed application run);
-* a :class:`SweepEngine` executes the unique jobs of a sweep on a
-  ``multiprocessing`` worker pool (``jobs=1`` stays in-process) and
-  returns outcomes **in submission order**, regardless of completion
-  order, so serial and parallel execution produce identical figures;
+* a :class:`SweepEngine` executes the unique jobs of a sweep through
+  one work-queue loop -- on forked worker processes for ``jobs`` > 1,
+  in this process for ``jobs=1`` -- and returns outcomes **in
+  submission order**, regardless of completion order, so serial and
+  parallel execution produce identical figures;
 * results are memoized in a content-addressed JSON cache under
   ``.repro_cache/``, keyed by a :func:`~repro.config.stable_digest` of
   the full job description (:class:`~repro.config.SystemConfig` +
@@ -19,15 +20,16 @@ sweep layer embarrassingly parallel and perfectly cacheable:
   parameters) salted with :data:`MODEL_VERSION`, so repeated figure
   runs and CI are near-instant and a model change invalidates
   everything at once;
-* parallel execution is coordinated through a durable on-disk work
-  queue (:mod:`repro.harness.coordinator`): worker *processes* claim
-  jobs by atomic lease files, report job starts to the supervising
-  engine, and write result records the engine harvests.  A worker
-  that hangs past ``timeout_s`` (measured from when the job actually
-  *started*, never from submission) is killed and replaced, so one
-  stuck job cannot silently serialize the sweep; a worker that dies
-  or raises is retried up to ``retries`` times and then **falls back
-  to in-process execution**;
+* every sweep runs through an on-disk work queue
+  (:mod:`repro.harness.coordinator`), a throwaway one in a temp
+  directory unless ``queue_dir`` makes it durable: workers claim jobs
+  by atomic lease files and write result records, and the engine
+  harvests them, caching each payload as it goes.  A worker whose
+  claim is older than ``timeout_s`` (measured from the lease's claim
+  time, never from submission) is killed and replaced, so one stuck
+  job cannot silently serialize the sweep; a claim that fails or
+  whose worker dies is retried up to ``retries`` times and then
+  **falls back to in-process execution**;
 * a job that fails deterministically (the fallback raises too) becomes
   a structured *failure outcome* -- ``JobOutcome.error`` is set, the
   queue records the ``failed`` state, and every other job's result is
@@ -59,7 +61,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import queue as queue_mod
 import shutil
 import tempfile
 import time
@@ -324,16 +325,6 @@ def _execute_job(
     return payload
 
 
-def _failure_payload(error_text: str, error_type: str, worker: str) -> dict:
-    """The structured payload a deterministically failing job yields."""
-    return {
-        "kind": "failure",
-        "error": error_text,
-        "error_type": error_type,
-        "worker": worker,
-    }
-
-
 class ResultCache:
     """Content-addressed on-disk cache: one JSON file per job key.
 
@@ -393,22 +384,39 @@ class ResultCache:
             pass
 
 
-class SweepEngine:
-    """Executes sweeps on worker processes, memoizing results on disk.
+def _env_number(env, variable: str, convert, default):
+    """``convert(env[variable])``, or ``default`` when unset or empty;
+    a malformed value is a :class:`ConfigError` naming the variable."""
+    raw = env.get(variable)
+    if not raw:
+        return default
+    try:
+        return convert(raw)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigError(f"{variable}={raw!r} is not {kind}") from None
 
-    ``jobs`` is the worker-process count (1 = in-process, serial).
-    Parallel execution goes through a :class:`~repro.harness
-    .coordinator.WorkQueue` (a throwaway one unless ``queue_dir`` is
-    set): workers claim jobs by lease, and the engine supervises them
-    with per-job deadlines measured from the *observed job start* --
-    time spent waiting for a free worker never counts against
-    ``timeout_s``.  A hung worker is killed and replaced (restoring
-    pool concurrency), a worker exception or crash is retried up to
-    ``retries`` times and then falls back to in-process execution, and
-    a job whose fallback also raises becomes a structured failure
-    outcome instead of abandoning the sweep.  Outcomes are always
-    returned in submission order -- results are deterministic for any
-    ``jobs``.
+
+class SweepEngine:
+    """Executes sweeps through a work queue, memoizing results on disk.
+
+    Every :meth:`run` opens a :class:`~repro.harness.coordinator
+    .WorkQueue` -- the durable one under ``queue_dir``, else a
+    throwaway one in a temp directory that the run removes -- and one
+    supervisor loop resolves every job.  ``jobs`` > 1 forks that many
+    :func:`~repro.harness.coordinator.worker_loop` processes, which the
+    engine watches only through the queue: a lease names its holder
+    and its claim time, so the per-job ``timeout_s`` never counts time
+    spent waiting for a free worker.  A hung worker is killed and
+    replaced (restoring pool concurrency); a claim that failed,
+    crashed or timed out goes back to the queue up to ``retries``
+    times and then runs in this process, as does every job no worker
+    can take -- with ``jobs=1``, every job.  A job that raises in this
+    process becomes a structured failure outcome instead of abandoning
+    the sweep.  Each payload is stored in the result cache as it is
+    harvested, so an interrupted sweep keeps its finished jobs.
+    Outcomes are always returned in submission order -- results are
+    deterministic for any ``jobs``.
 
     With a persistent ``queue_dir`` the sweep is interruptible and
     resumable: every completed job's record survives in
@@ -431,7 +439,6 @@ class SweepEngine:
         check_invariants: bool = False,
         progress=None,
         queue_dir: Union[str, os.PathLike, None] = None,
-        lease_s: float = coordinator.DEFAULT_LEASE_S,
     ) -> None:
         if jobs < 1:
             raise ConfigError("the sweep engine needs at least one worker")
@@ -439,11 +446,8 @@ class SweepEngine:
             raise ConfigError("retries cannot be negative")
         if not timeout_s > 0:
             raise ConfigError("the per-job timeout must be positive")
-        if not lease_s > 0:
-            raise ConfigError("the queue lease duration must be positive")
         self.jobs = jobs
         self.queue_dir = queue_dir
-        self.lease_s = lease_s
         self.collect_metrics = bool(collect_metrics)
         self.check_invariants = bool(check_invariants)
         #: Optional :class:`repro.harness.progress.SweepProgress` (or
@@ -470,39 +474,36 @@ class SweepEngine:
         self.last_stats: dict = {}
 
     @classmethod
-    def from_env(cls, environ: Optional[dict] = None) -> "SweepEngine":
+    def from_env(
+        cls, environ: Optional[dict] = None, **overrides
+    ) -> "SweepEngine":
         """Engine configured from ``REPRO_SWEEP_JOBS`` (worker count),
         ``REPRO_CACHE_DIR`` (cache root), ``REPRO_NO_CACHE`` (any
         non-empty value disables the on-disk cache),
         ``REPRO_SWEEP_METRICS`` (any non-empty value adds a registry
         snapshot to every microbench payload),
         ``REPRO_SWEEP_TIMEOUT_S`` (per-job deadline, measured from the
-        observed job start) and ``REPRO_SWEEP_RETRIES`` (worker-side
-        attempts before the in-process fallback), so CI and remote
-        workers tune failure handling without code changes."""
+        job's claim), ``REPRO_SWEEP_RETRIES`` (worker-side attempts
+        before the in-process fallback) and ``REPRO_SWEEP_QUEUE``
+        (persistent work-queue root), so CI and remote workers tune
+        sweeps without code changes.  This is the only reader of those
+        variables; a malformed number is a :class:`ConfigError`.
+        Keyword ``overrides`` that are not None (the CLI's flags) win
+        over the environment."""
         env = os.environ if environ is None else environ
-        timeout_raw = env.get("REPRO_SWEEP_TIMEOUT_S")
-        try:
-            timeout_s = float(timeout_raw) if timeout_raw else 900.0
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_SWEEP_TIMEOUT_S={timeout_raw!r} is not a number"
-            )
-        retries_raw = env.get("REPRO_SWEEP_RETRIES")
-        try:
-            retries = int(retries_raw) if retries_raw else 1
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_SWEEP_RETRIES={retries_raw!r} is not an integer"
-            )
-        return cls(
-            jobs=int(env.get("REPRO_SWEEP_JOBS", "1") or "1"),
-            cache_dir=env.get("REPRO_CACHE_DIR", ".repro_cache"),
-            use_cache=not env.get("REPRO_NO_CACHE"),
-            collect_metrics=bool(env.get("REPRO_SWEEP_METRICS")),
-            timeout_s=timeout_s,
-            retries=retries,
-        )
+        settings = {
+            "jobs": _env_number(env, "REPRO_SWEEP_JOBS", int, 1),
+            "cache_dir": env.get("REPRO_CACHE_DIR", ".repro_cache"),
+            "use_cache": not env.get("REPRO_NO_CACHE"),
+            "collect_metrics": bool(env.get("REPRO_SWEEP_METRICS")),
+            "timeout_s": _env_number(
+                env, "REPRO_SWEEP_TIMEOUT_S", float, 900.0
+            ),
+            "retries": _env_number(env, "REPRO_SWEEP_RETRIES", int, 1),
+            "queue_dir": env.get("REPRO_SWEEP_QUEUE") or None,
+        }
+        settings.update((k, v) for k, v in overrides.items() if v is not None)
+        return cls(**settings)
 
     # -- execution -------------------------------------------------------
 
@@ -523,86 +524,75 @@ class SweepEngine:
         for key, job in zip(keys, jobs):
             unique.setdefault(key, job)
 
-        queue = (
-            self._open_queue(name, list(unique))
-            if self.queue_dir is not None
-            else None
+        owned = (
+            tempfile.mkdtemp(prefix="repro-sweep-")
+            if self.queue_dir is None else None
         )
-
-        # Every resolved key gets a done record {payload, cached,
-        # worker, wall_s}; kernel totals below sum the ``cached=False``
-        # ones, so an interrupted-then-resumed sweep reports the same
-        # simulator totals as an uninterrupted run.
-        records: dict[str, dict] = {}
-        served_from_cache: set[str] = set()
-        queue_served: set[str] = set()
-        pending: list[tuple[str, SweepJob]] = []
-        for key, job in unique.items():
-            record = queue.done_record(key) if queue is not None else None
-            if record is not None and isinstance(record.get("payload"), dict):
-                # A previous (interrupted) run or a concurrent worker
-                # already finished this job; the queue record outranks
-                # the cache so resumed totals stay bit-for-bit.
-                self.probes.counter("sweep-queue-hit").add()
-                records[key] = record
-                queue_served.add(key)
-                continue
-            hit = self.cache.load(key) if self.cache else None
-            if hit is not None:
-                self.probes.counter("sweep-cache-hit").add()
-                record = {
-                    "payload": hit,
-                    "cached": True,
-                    "worker": coordinator.worker_id(),
-                    "wall_s": 0.0,
-                }
-                records[key] = record
-                served_from_cache.add(key)
-                if queue is not None:
-                    queue.complete(key, record)
-                continue
-            self.probes.counter("sweep-cache-miss").add()
-            pending.append((key, job))
-
-        if self.progress is not None:
-            self.progress.begin(
-                name,
-                total=len(pending),
-                cache_hits=len(served_from_cache),
-                workers=self.jobs,
-            )
-        failures: dict[str, str] = {}
-        counters = {"retries": 0, "fallbacks": 0, "respawns": 0}
         try:
-            self._execute(name, pending, queue, records, failures, counters)
-        except KeyboardInterrupt:
-            # Interrupted mid-sweep: everything harvested so far is
-            # already durable in the queue; stamp the manifest so a
-            # ``--resume`` (or ``runs show``) sees the partial state.
-            self.last_stats = self._summarize(
-                name, jobs, unique, served_from_cache, queue_served,
-                records, failures, counters, started, queue,
-                interrupted=True,
-            )
-            raise
+            queue = self._open_queue(name, list(unique), owned)
+            # Every resolved key gets a done record {payload, cached,
+            # worker, wall_s}; kernel totals below sum the
+            # ``cached=False`` ones, so an interrupted-then-resumed
+            # sweep reports the same simulator totals as an
+            # uninterrupted run.
+            records: dict[str, dict] = {}
+            served_from_cache: set[str] = set()
+            queue_served: set[str] = set()
+            pending: list[tuple[str, SweepJob]] = []
+            for key, job in unique.items():
+                record = queue.done_record(key)
+                if record is not None and isinstance(
+                    record.get("payload"), dict
+                ):
+                    # A previous (interrupted) run or a concurrent
+                    # worker already finished this job; the queue
+                    # record outranks the cache so resumed totals stay
+                    # bit-for-bit.
+                    self.probes.counter("sweep-queue-hit").add()
+                    self._store(key, job, record, records)
+                    queue_served.add(key)
+                    continue
+                hit = self.cache.load(key) if self.cache else None
+                if hit is not None:
+                    self.probes.counter("sweep-cache-hit").add()
+                    records[key] = {
+                        "payload": hit,
+                        "cached": True,
+                        "worker": coordinator.worker_id(),
+                        "wall_s": 0.0,
+                    }
+                    served_from_cache.add(key)
+                    queue.complete(key, records[key])
+                    continue
+                self.probes.counter("sweep-cache-miss").add()
+                pending.append((key, job))
 
-        if self.cache is not None:
-            for key in sorted(queue_served):
-                self.cache.store(
-                    key, unique[key], self.salt, records[key]["payload"]
+            if self.progress is not None:
+                self.progress.begin(
+                    name,
+                    total=len(pending),
+                    cache_hits=len(served_from_cache),
+                    workers=self.jobs,
                 )
-            for key, job in pending:
-                if key not in failures:
-                    self.cache.store(
-                        key, job, self.salt, records[key]["payload"]
-                    )
-
-        self.probes.counter("sweep-jobs").add(len(jobs))
-        self.probes.counter("sweep-sim").add(len(pending))
-        self.last_stats = self._summarize(
-            name, jobs, unique, served_from_cache, queue_served,
-            records, failures, counters, started, queue,
-        )
+            failures: dict[str, str] = {}
+            counters = {"retries": 0, "fallbacks": 0, "respawns": 0}
+            summary = (name, jobs, unique, served_from_cache, queue_served,
+                       records, failures, counters, started, queue)
+            try:
+                self._supervise(queue, pending, records, failures, counters)
+            except KeyboardInterrupt:
+                # Interrupted mid-sweep: everything harvested so far is
+                # already durable in the queue and the cache; stamp the
+                # manifest so a ``--resume`` (or ``runs show``) sees
+                # the partial state.
+                self.last_stats = self._summarize(*summary, interrupted=True)
+                raise
+            self.probes.counter("sweep-jobs").add(len(jobs))
+            self.probes.counter("sweep-sim").add(len(pending))
+            self.last_stats = self._summarize(*summary)
+        finally:
+            if owned is not None:
+                shutil.rmtree(owned, ignore_errors=True)
         if self.progress is not None:
             self.progress.finish(self.last_stats)
         return [
@@ -633,15 +623,19 @@ class SweepEngine:
 
     # -- queue plumbing --------------------------------------------------
 
-    def _open_queue(self, name: str, keys: list[str]) -> coordinator.WorkQueue:
-        """Create-or-attach this sweep's persistent queue (one
-        subdirectory of ``queue_dir`` per distinct sweep spec) and
-        return previously ``failed`` jobs to pending so a resume
-        retries them."""
+    def _open_queue(
+        self, name: str, keys: list[str], owned: Optional[str]
+    ) -> coordinator.WorkQueue:
+        """Create-or-attach this sweep's queue -- the throwaway
+        ``owned`` directory, else one subdirectory of ``queue_dir`` per
+        distinct sweep spec -- and return previously ``failed`` jobs to
+        pending so a resume retries them."""
         from repro.obs.runlog import git_sha
 
-        digest = coordinator.spec_digest(name, self.salt, keys)
-        root = Path(self.queue_dir) / f"{name}-{digest[:12]}"
+        root = owned
+        if root is None:
+            digest = coordinator.spec_digest(name, self.salt, keys)
+            root = Path(self.queue_dir) / f"{name}-{digest[:12]}"
         queue = coordinator.WorkQueue.ensure(
             root,
             name=name,
@@ -650,7 +644,7 @@ class SweepEngine:
             keys=keys,
             collect_metrics=self.collect_metrics,
             check_invariants=self.check_invariants,
-            git_sha=git_sha(),
+            git_sha=None if owned else git_sha(),
         )
         for key in keys:
             queue.clear_failure(key)
@@ -691,7 +685,7 @@ class SweepEngine:
         }
         if interrupted:
             stats["interrupted"] = True
-        if queue is not None:
+        if self.queue_dir is not None:
             manifest = queue.finalize_manifest()
             stats["queue"] = {
                 "dir": str(queue.root),
@@ -700,262 +694,151 @@ class SweepEngine:
             }
         return stats
 
-    # -- execution strategies --------------------------------------------
+    # -- the supervisor loop ---------------------------------------------
 
-    def _execute(
-        self, name, pending, queue, records, failures, counters
-    ) -> None:
+    def _supervise(self, queue, pending, records, failures, counters) -> None:
         """Resolve every pending key into ``records`` (and failed ones
-        into ``failures``), dispatching on worker count and queue."""
-        if not pending:
-            return
-        if self.jobs > 1 and len(pending) > 1:
-            owned_root = None
-            if queue is None:
-                # No persistent queue requested: parallel runs still
-                # coordinate through the same machinery, on a
-                # throwaway queue directory.
-                owned_root = tempfile.mkdtemp(prefix="repro-sweep-")
-                queue = coordinator.WorkQueue.ensure(
-                    owned_root,
-                    name=name,
-                    salt=self.salt,
-                    model_version=MODEL_VERSION,
-                    keys=[key for key, _job in pending],
-                    collect_metrics=self.collect_metrics,
-                    check_invariants=self.check_invariants,
-                )
-            try:
-                for key, job in pending:
-                    queue.enqueue(key, job)
-                self._execute_parallel(
-                    queue, pending, records, failures, counters
-                )
-            finally:
-                if owned_root is not None:
-                    shutil.rmtree(owned_root, ignore_errors=True)
-            return
-        if queue is not None:
-            for key, job in pending:
-                queue.enqueue(key, job)
-            self._execute_queue_serial(queue, pending, records, failures)
-            return
-        self._execute_serial(pending, records, failures)
+        into ``failures``).
 
-    def _execute_serial(self, pending, records, failures) -> None:
-        """In-process execution (``jobs=1``, no queue directory)."""
-        worker = coordinator.worker_id()
-        for key, job in pending:
-            t0 = time.perf_counter()
-            error = None
-            try:
-                payload = _execute_job(
-                    job, self.collect_metrics, self.check_invariants
-                )
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                payload = _failure_payload(error, type(exc).__name__, worker)
-                failures[key] = error
-                self.probes.counter("sweep-failed").add()
-            record = {
-                "payload": payload,
-                "cached": False,
-                "worker": worker,
-                "wall_s": time.perf_counter() - t0,
-            }
-            if error is not None:
-                record["error"] = error
-            records[key] = record
-            self._note_done(record, remaining=0)
+        Each pass first checks every open job: it harvests done
+        records, and a claim that failed, crashed (its holder is a dead
+        local worker) or ran past ``timeout_s`` since the lease's
+        ``acquired_at`` goes back to the queue, or -- retries spent --
+        is claimed for this process.  Then it restores the worker pool
+        and runs at most one job here: a claimed fallback, or any job
+        once no worker can take it.
 
-    def _execute_queue_serial(self, queue, pending, records, failures) -> None:
-        """Drain this sweep's jobs in-process through the queue
-        (``jobs=1`` with a persistent ``queue_dir``): claims keep
-        concurrent standalone workers off our jobs, and done records
-        make every completion durable the moment it happens."""
-        worker = coordinator.worker_id()
-        open_jobs = dict(pending)
-        while open_jobs:
-            progressed = False
-            for key in list(open_jobs):
-                record = queue.done_record(key)
-                if record is not None and isinstance(
-                    record.get("payload"), dict
-                ):
-                    # A standalone worker sharing the queue finished it.
-                    records[key] = record
-                    del open_jobs[key]
-                    self._note_done(record, remaining=len(open_jobs))
-                    progressed = True
-                    continue
-                if queue.failure(key) is not None:
-                    # A standalone worker failed it; this run owns the
-                    # final verdict, so retry locally.
-                    queue.clear_failure(key)
-                if not queue.try_claim(key, worker, self.lease_s):
-                    continue  # a live worker holds it; revisit
-                record = self._run_inline(
-                    queue, key, open_jobs[key], records, failures
-                )
-                del open_jobs[key]
-                self._note_done(record, remaining=len(open_jobs))
-                progressed = True
-            if open_jobs and not progressed:
-                self._note_waiting(queue, active=1)
-                time.sleep(0.05)
-
-    def _execute_parallel(
-        self, queue, pending, records, failures, counters
-    ) -> None:
-        """Supervise local worker processes draining the queue.
-
-        Workers report each job's actual start (worker-side monotonic
-        stamp), so ``timeout_s`` measures execution, never time spent
-        waiting for a free worker.  A worker past the deadline is
-        killed and a replacement spawned; a worker failure or crash is
-        retried through the queue up to ``retries`` times and then run
-        in-process; a job whose fallback also raises is recorded as a
-        structured failure.
+        A claim's age is read off the wall clock once, when the loop
+        first sees it, and then timed on the monotonic clock, so a
+        later wall-clock step neither hastens nor delays a kill.
         """
-        context = self._mp_context()
-        events = context.Queue()
         base = coordinator.worker_id()
+        here = f"{base}-inline"
+        # A lone job runs here: forking a worker for it buys nothing.
+        pool = self.jobs if len(pending) > 1 else 1
+        # Fork where available: cheap, and the workers inherit the
+        # loaded model (and monkeypatches, which the fault-injection
+        # tests rely on).
+        context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else None
+        )
         workers: dict = {}
-        all_dead: set = set()
+        dead: set = set()
+        seen: dict = {}  # (holder, acquired_at) -> monotonic claim time
         spawned = 0
         # Backstop against workers that die before claiming anything
-        # (broken environment): after this many spawns, finish inline.
+        # (broken environment): after this many spawns, finish here.
         spawn_budget = (
-            min(self.jobs, len(pending))
-            + len(pending) * (self.retries + 1)
+            min(pool, len(pending)) + len(pending) * (self.retries + 1)
         )
-
-        def spawn() -> None:
-            nonlocal spawned
-            proc = context.Process(
-                target=coordinator._local_worker_main,
-                args=(
-                    str(queue.root), f"{base}-w{spawned}", events,
-                    self.collect_metrics, self.check_invariants,
-                    self.lease_s,
-                ),
-                daemon=True,
-            )
-            spawned += 1
-            proc.start()
-            workers[f"{base}-w{spawned - 1}"] = proc
-
-        def resolve_locally(key, entry) -> None:
-            """Retries exhausted: the parent runs the job itself."""
-            record = self._run_inline(
-                queue, key, entry["job"], records, failures, counters
-            )
-            del state[key]
-            self._note_done(record, remaining=len(state))
-
-        state = {
-            key: {"job": job, "attempts": 0, "worker": None, "started": None}
+        open_jobs = {
+            key: {"job": job, "attempts": 0, "here": False}
             for key, job in pending
         }
+        for key, job in pending:
+            queue.enqueue(key, job)
+
+        def give_back(key, entry) -> None:
+            """Account one failed attempt: return the job to the queue,
+            or -- retries spent -- claim it for this process."""
+            if entry["attempts"] < self.retries:
+                entry["attempts"] += 1
+                counters["retries"] += 1
+                self.probes.counter("sweep-retry").add()
+                queue.release(key)
+                queue.clear_failure(key)  # claimable again
+                return
+            counters["fallbacks"] += 1
+            self.probes.counter("sweep-fallback").add()
+            # Claim it before clearing the failure record, or a live
+            # worker could re-claim it in between.
+            queue.take_over(key, here)
+            queue.clear_failure(key)
+            entry["here"] = True
+
         try:
-            for _ in range(min(self.jobs, len(state))):
-                spawn()
-            while state:
-                try:
-                    while True:
-                        event = events.get_nowait()
-                        if event[0] == "started" and event[2] in state:
-                            entry = state[event[2]]
-                            entry["worker"] = event[1]
-                            entry["started"] = event[3]
-                except queue_mod.Empty:
-                    pass
+            while open_jobs:
                 for name in [
                     n for n, p in workers.items() if not p.is_alive()
                 ]:
                     workers.pop(name).join()
-                    all_dead.add(name)
-                harvested = False
-                for key in list(state):
-                    entry = state[key]
-                    if queue.failure(key) is not None:
-                        # The worker moved on already; only the retry
-                        # budget decides what happens next.
-                        if self._note_retry(counters, entry):
-                            queue.clear_failure(key)  # claimable again
-                            entry["worker"] = entry["started"] = None
-                        else:
-                            resolve_locally(key, entry)
-                            harvested = True
-                        continue
-                    if (
-                        entry["started"] is not None
-                        and time.monotonic() - entry["started"]
-                        > self.timeout_s
-                    ):
-                        # Hung worker: kill it -- a timed-out ticket
-                        # must not keep occupying its pool slot.
-                        proc = workers.pop(entry["worker"], None)
-                        if proc is not None:
-                            all_dead.add(entry["worker"])
-                            proc.terminate()
-                            proc.join(timeout=5.0)
-                            if proc.is_alive():  # pragma: no cover
-                                proc.kill()
-                                proc.join()
-                        queue.release(key)
-                        entry["worker"] = entry["started"] = None
-                        if not self._note_retry(counters, entry):
-                            resolve_locally(key, entry)
-                            harvested = True
-                        continue
-                    record = queue.done_record(key)
+                    dead.add(name)
+                progressed = False
+                done, failed, leased = queue.listing()
+                for key, entry in list(open_jobs.items()):
+                    record = queue.done_record(key) if key in done else None
                     if record is not None and isinstance(
                         record.get("payload"), dict
                     ):
-                        records[key] = record
-                        del state[key]
-                        self._note_done(record, remaining=len(state))
-                        harvested = True
+                        del open_jobs[key]
+                        self._store(key, entry["job"], record, records)
+                        self._note_done(record, remaining=len(open_jobs))
+                        progressed = True
                         continue
-                    # Crashed worker holding this key?  (The lease
-                    # check covers claims whose started event was
-                    # still in flight when the worker died.)
-                    holder = entry["worker"]
-                    if holder is None and all_dead:
-                        lease = queue.lease(key)
-                        if (
-                            lease is not None
-                            and lease.get("worker") in all_dead
-                        ):
-                            holder = lease["worker"]
-                    if holder is not None and holder in all_dead:
-                        queue.release(key)
-                        entry["worker"] = entry["started"] = None
-                        if not self._note_retry(counters, entry):
-                            resolve_locally(key, entry)
-                            harvested = True
-                # Respawn to restore the configured concurrency after
-                # kills and crashes.
+                    if entry["here"]:
+                        continue
+                    if key in failed and queue.failure(key) is not None:
+                        give_back(key, entry)
+                        continue
+                    # The raw record: an expired lease still names its
+                    # holder, which ``queue.lease`` would hide.
+                    path = queue.leases_dir / f"{key}.json"
+                    lease = (key in leased and coordinator._read_json(path)) or {}
+                    holder = lease.get("worker")
+                    if holder in workers:
+                        stamp = (holder, lease["acquired_at"])
+                        age = max(0.0, time.time() - stamp[1])
+                        claimed = seen.setdefault(stamp, time.monotonic() - age)
+                        if time.monotonic() - claimed > self.timeout_s:
+                            # Hung worker: kill it -- a timed-out claim
+                            # must not keep occupying its pool slot.
+                            workers[holder].kill()
+                            workers.pop(holder).join()
+                            dead.add(holder)
+                    if holder in dead:
+                        give_back(key, entry)
+                # Respawn (only now, after harvesting) to restore the
+                # configured concurrency after kills and crashes.
+                wanted = sum(not e["here"] for e in open_jobs.values())
                 while (
-                    state
-                    and len(workers) < min(self.jobs, len(state))
+                    pool > 1
+                    and len(workers) < min(pool, wanted)
                     and spawned < spawn_budget
                 ):
-                    spawn()
-                    counters["respawns"] += 1
-                    self.probes.counter("sweep-respawn").add()
-                if not workers and state and spawned >= spawn_budget:
-                    for key in list(state):  # pragma: no cover - backstop
-                        queue.release(key)
-                        resolve_locally(key, state[key])
-                    break
-                if state and not harvested:
-                    self._note_waiting(
-                        queue, active=min(self.jobs, len(state))
+                    if spawned >= min(pool, len(pending)):
+                        counters["respawns"] += 1
+                        self.probes.counter("sweep-respawn").add()
+                    name = f"{base}-w{spawned}"
+                    workers[name] = context.Process(
+                        target=coordinator._local_worker_main,
+                        args=(str(queue.root), name, self.collect_metrics,
+                              self.check_invariants,
+                              self.timeout_s + coordinator.DEFAULT_LEASE_S),
+                        daemon=True,
                     )
+                    workers[name].start()
+                    spawned += 1
+                no_worker = pool == 1 or not (
+                    workers or spawned < spawn_budget
+                )
+                key = next((
+                    key for key, entry in open_jobs.items()
+                    if entry["here"] or (no_worker and queue.try_claim(
+                        key, here, coordinator.DEFAULT_LEASE_S
+                    ))
+                ), None)
+                if key is not None:
+                    job = open_jobs.pop(key)["job"]
+                    self._run_here(queue, key, job, here, records, failures,
+                                   remaining=len(open_jobs))
+                    progressed = True
+                if open_jobs and not progressed:
+                    if self.progress is not None:
+                        active = min(self.jobs, len(open_jobs))
+                        self.progress.heartbeat(active=active)
+                        if hasattr(self.progress, "queue_snapshot"):
+                            self.progress.queue_snapshot(queue.counts())
                     time.sleep(0.02)
         finally:
             for proc in workers.values():
@@ -963,75 +846,40 @@ class SweepEngine:
             for proc in workers.values():
                 proc.join()
             # Terminated workers cannot release their own claims, and
-            # their lease records embed this parent's (live) pid -- so
+            # their lease records embed this process's (live) pid -- so
             # drop them here, or a resume from this same process would
             # wait out the full lease term.
-            prefix = f"{base}-w"
-            for key in state:
+            for key in open_jobs:
                 lease = queue.lease(key)
                 if lease is not None and str(
                     lease.get("worker", "")
-                ).startswith(prefix):
+                ).startswith(f"{base}-"):
                     queue.release(key)
-            events.close()
 
     # -- shared helpers --------------------------------------------------
 
-    def _note_retry(self, counters, entry) -> bool:
-        """Account one failed attempt; True if the job goes back to
-        the queue, False when retries are exhausted and the caller
-        must resolve it in-process."""
-        if entry["attempts"] < self.retries:
-            entry["attempts"] += 1
-            counters["retries"] += 1
-            self.probes.counter("sweep-retry").add()
-            return True
-        counters["fallbacks"] += 1
-        self.probes.counter("sweep-fallback").add()
-        return False
-
-    def _run_inline(
-        self, queue, key, job, records, failures, counters=None
-    ) -> dict:
-        """Execute ``key`` in this process and resolve it in the queue
-        (the serial queue path, and the retries-exhausted fallback).
-        A job that raises here becomes a structured failure record --
-        never a lost sweep."""
-        worker = f"{coordinator.worker_id()}-inline"
-        queue.try_claim(key, worker, self.lease_s)
-        t0 = time.perf_counter()
-        try:
-            payload = _execute_job(
-                job, self.collect_metrics, self.check_invariants
-            )
-        except KeyboardInterrupt:
-            queue.release(key)
-            raise
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            record = {
-                "payload": _failure_payload(
-                    error, type(exc).__name__, worker
-                ),
-                "cached": False,
-                "worker": worker,
-                "wall_s": time.perf_counter() - t0,
-                "error": error,
-            }
-            queue.fail(key, coordinator._failure_record(exc, worker))
-            failures[key] = error
-            records[key] = record
+    def _run_here(
+        self, queue, key, job, worker, records, failures, remaining
+    ) -> None:
+        """Execute the claimed ``key`` in this process.  A job that
+        raises here becomes a structured failure record -- never a lost
+        sweep."""
+        record = coordinator.run_claimed(
+            queue, key, job, worker,
+            self.collect_metrics, self.check_invariants,
+        )
+        if "error" in record:
+            failures[key] = record["error"]
             self.probes.counter("sweep-failed").add()
-            return record
-        record = {
-            "payload": payload,
-            "cached": False,
-            "worker": worker,
-            "wall_s": time.perf_counter() - t0,
-        }
-        queue.complete(key, record)
+        self._store(key, job, record, records)
+        self._note_done(record, remaining)
+
+    def _store(self, key, job, record, records) -> None:
+        """Keep a harvested record, and cache its payload right away
+        (an interrupted sweep keeps every job finished so far)."""
         records[key] = record
-        return record
+        if self.cache is not None and "error" not in record:
+            self.cache.store(key, job, self.salt, record["payload"])
 
     def _note_done(self, record, remaining: int) -> None:
         wall_s = float(record.get("wall_s") or 0.0)
@@ -1041,23 +889,3 @@ class SweepEngine:
         if self.progress is not None:
             active = min(self.jobs, remaining) if self.jobs > 1 else 0
             self.progress.job_done(wall_s, active=active)
-
-    def _note_waiting(self, queue, active: int) -> None:
-        if self.progress is None:
-            return
-        self.progress.heartbeat(active=active)
-        snapshot = getattr(self.progress, "queue_snapshot", None)
-        if snapshot is not None and queue is not None:
-            snapshot(queue.counts())
-
-    @staticmethod
-    def _mp_context():
-        """A fork context where available (cheap, inherits the loaded
-        model -- and monkeypatches, which the fault-injection tests
-        rely on), else the platform default."""
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
-        return multiprocessing.get_context(method)

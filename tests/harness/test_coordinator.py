@@ -338,3 +338,55 @@ def test_drain_queue_tree_resolves_every_queue(tmp_path):
     assert seen == [tmp_path / "a", tmp_path / "b"]
     for queue in find_queues(tmp_path):
         assert queue.unresolved() == 0
+
+
+# ---------------------------------------------------------------------------
+# Concurrent claims
+# ---------------------------------------------------------------------------
+
+def _claim_everything(root, worker, barrier, results):
+    queue = WorkQueue.attach(root)
+    barrier.wait(timeout=30)
+    claimed = []
+    while (got := queue.claim(worker, 60.0)) is not None:
+        claimed.append(got[0])
+    results.put(claimed)
+
+
+def test_workers_released_together_never_double_claim(tmp_path):
+    # Four workers start claiming a fresh queue at the same instant.
+    # A claim must be atomic: each job is claimed by exactly one of
+    # them, never stolen as a half-written ("torn") lease.
+    context = multiprocessing.get_context("fork")
+    for trial in range(20):
+        queue = _queue(tmp_path / str(trial),
+                       [_job(work=work) for work in (10, 20, 30)])
+        barrier = context.Barrier(4)
+        results = context.Queue()
+        procs = [
+            context.Process(target=_claim_everything,
+                            args=(str(queue.root), f"w{index}", barrier,
+                                  results))
+            for index in range(4)
+        ]
+        for proc in procs:
+            proc.start()
+        claimed = [key for _ in procs for key in results.get(timeout=30)]
+        for proc in procs:
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+        assert sorted(claimed) == sorted(queue.order), f"trial {trial}"
+
+
+def test_claim_won_after_the_job_finished_is_dropped(tmp_path):
+    # A worker that saw the job pending, then lost the CPU while a peer
+    # claimed, ran and completed it, finds no lease left to collide
+    # with.  Its claim must still fail, or the job runs twice.
+    queue = _queue(tmp_path, [_job(work=10)])
+    [key] = queue.order
+    assert queue.try_claim(key, "first", 60.0)
+    queue.complete(key, {"payload": {}, "cached": False,
+                         "worker": "first", "wall_s": 0.0})
+    assert not queue.try_claim(key, "second", 60.0)
+    assert queue.lease(key) is None
+    assert queue.state(key) == DONE

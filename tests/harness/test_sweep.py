@@ -268,8 +268,6 @@ def test_engine_rejects_bad_configuration():
         SweepEngine(retries=-1)
     with pytest.raises(ConfigError):
         SweepEngine(timeout_s=0.0)
-    with pytest.raises(ConfigError):
-        SweepEngine(lease_s=-1.0)
 
 
 def test_from_env_reads_environment():
@@ -300,6 +298,7 @@ def test_from_env_reads_failure_tuning():
     ("REPRO_SWEEP_TIMEOUT_S", "soon"),
     ("REPRO_SWEEP_RETRIES", "2.5"),
     ("REPRO_SWEEP_RETRIES", "many"),
+    ("REPRO_SWEEP_JOBS", "two"),
 ])
 def test_from_env_rejects_malformed_failure_tuning(variable, value):
     with pytest.raises(ConfigError, match=variable):
@@ -386,3 +385,98 @@ def test_progress_hooks_fire_per_job(workers):
     }
     assert progress.done == 3
     assert progress.finished is engine.last_stats
+
+
+# ---------------------------------------------------------------------------
+# One execution path: interrupts, resumes and the throwaway queue
+# ---------------------------------------------------------------------------
+
+class _InterruptAt(_RecordingProgress):
+    """Progress hook that raises KeyboardInterrupt at the n-th job_done."""
+
+    def __init__(self, at):
+        super().__init__()
+        self.at = at
+
+    def job_done(self, wall_s, active=0):
+        super().job_done(wall_s, active)
+        if self.done == self.at:
+            raise KeyboardInterrupt
+
+
+def _six_jobs():
+    return [_job(threads=threads) for threads in (1, 2, 3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupted_sweep_keeps_finished_jobs_in_the_cache(tmp_path, workers):
+    expected = SweepEngine(jobs=1, use_cache=False).run(_six_jobs())
+    interrupted = SweepEngine(
+        jobs=workers, cache_dir=tmp_path, progress=_InterruptAt(3)
+    )
+    with pytest.raises(KeyboardInterrupt):
+        interrupted.run(_six_jobs())
+    # No queue directory: the cache alone keeps the three harvested jobs.
+    rerun = SweepEngine(jobs=workers, cache_dir=tmp_path)
+    outcomes = rerun.run(_six_jobs())
+    assert rerun.last_stats["cache_hits"] >= 3
+    assert rerun.last_stats["simulated"] <= 3
+    assert [o.payload for o in outcomes] == [o.payload for o in expected]
+
+
+def test_serial_queue_sweep_resumes_bit_for_bit(tmp_path):
+    spec = SweepSpec("serial-resume", _six_jobs())
+    reference = SweepEngine(jobs=1, use_cache=False)
+    expected = reference.run(spec)
+
+    queue_dir = tmp_path / "q"
+    interrupted = SweepEngine(
+        jobs=1, use_cache=False, queue_dir=queue_dir,
+        progress=_InterruptAt(3),
+    )
+    with pytest.raises(KeyboardInterrupt):
+        interrupted.run(spec)
+    assert interrupted.last_stats["interrupted"] is True
+    assert interrupted.last_stats["queue"]["counts"]["done"] == 3
+
+    resumed = SweepEngine(jobs=1, use_cache=False, queue_dir=queue_dir)
+    outcomes = resumed.run(spec)
+    assert [o.payload for o in outcomes] == [o.payload for o in expected]
+    assert resumed.last_stats["queue_served"] == 3
+    assert resumed.last_stats["simulated"] == 3
+    assert (resumed.last_stats["kernel_stats"]
+            == reference.last_stats["kernel_stats"])
+
+    replay = SweepEngine(jobs=1, use_cache=False, queue_dir=queue_dir)
+    replay.run(spec)
+    assert replay.last_stats["simulated"] == 0
+
+
+def test_serial_sweep_leaves_no_temp_files(tmp_path, monkeypatch):
+    import tempfile
+
+    temp_root = tmp_path / "tmp"
+    temp_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+
+    SweepEngine(jobs=1, use_cache=False).run([_job()])
+    assert list(temp_root.iterdir()) == []
+
+    with pytest.raises(KeyboardInterrupt):
+        SweepEngine(jobs=1, use_cache=False, progress=_InterruptAt(1)).run(
+            [_job(threads=1), _job(threads=2)]
+        )
+    assert list(temp_root.iterdir()) == []
+
+    def _boom(job, collect_metrics, check_invariants):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(sweep_mod, "_execute_job", _boom)
+    engine = SweepEngine(jobs=1, use_cache=False)
+    [outcome] = engine.run([_job()])
+    assert outcome.failed
+    assert outcome.payload == {
+        "kind": "failure", "error": "ValueError: injected fault",
+        "error_type": "ValueError", "worker": outcome.payload["worker"],
+    }
+    assert list(temp_root.iterdir()) == []

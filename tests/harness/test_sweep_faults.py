@@ -288,3 +288,40 @@ def test_interrupted_sweep_resumes_bit_for_bit(tmp_path, monkeypatch):
     assert [outcome.payload for outcome in replay_outcomes] == [
         outcome.payload for outcome in expected
     ]
+
+
+# ---------------------------------------------------------------------------
+# A deadline at or past the lease term still kills the hung worker
+# ---------------------------------------------------------------------------
+
+def test_hung_worker_is_killed_when_the_timeout_outlasts_the_lease(
+    monkeypatch,
+):
+    from repro.harness import coordinator
+
+    # Were a worker's claim to lapse before the engine's deadline, an
+    # idle peer would steal the hung job and hang on it too, and no
+    # worker would ever be killed.  Shrink the lease term below
+    # ``timeout_s`` before the workers fork to make that reachable.
+    monkeypatch.setattr(coordinator, "DEFAULT_LEASE_S", 0.2)
+
+    def _hang_on_sentinel(job, collect_metrics, check_invariants):
+        if job.spec.work_count == SENTINEL and _in_worker():
+            time.sleep(20.0)
+        return _fake_payload(job)
+
+    monkeypatch.setattr(sweep_mod, "_execute_job", _hang_on_sentinel)
+    jobs = [_job(SENTINEL), _job(1), _job(2)]
+    engine = SweepEngine(jobs=2, retries=1, timeout_s=0.5, use_cache=False)
+    started = time.monotonic()
+    outcomes = engine.run(SweepSpec(name="hang-lease", jobs=jobs))
+
+    assert time.monotonic() - started < 15.0
+    assert [outcome.payload["work"] for outcome in outcomes] == [
+        SENTINEL, 1, 2,
+    ]
+    # Both worker attempts were killed at the deadline (one retry),
+    # then the job ran in this process (one fallback).
+    assert outcomes[0].payload["proc"] == "MainProcess"
+    stats = engine.last_stats
+    assert (stats["retries"], stats["fallbacks"], stats["failed"]) == (1, 1, 0)

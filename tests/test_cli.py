@@ -483,3 +483,55 @@ def test_engine_flags_accept_failure_tuning(tmp_path):
         "--timeout-s", "120", "--retries", "2",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("variable", [
+    "REPRO_SWEEP_JOBS", "REPRO_SWEEP_TIMEOUT_S", "REPRO_SWEEP_RETRIES",
+])
+def test_malformed_sweep_environment_fails_only_sweeps(monkeypatch, variable):
+    from repro.errors import ConfigError
+
+    monkeypatch.setenv(variable, "lots")
+    # Every command still parses; only the engine's construction fails.
+    build_parser().parse_args(["run", "--threads", "2"])
+    with pytest.raises(ConfigError, match=variable):
+        main(["sweep", "fig3", "--no-cache"], out=io.StringIO())
+
+
+def test_sweep_environment_reaches_the_cli_engine(monkeypatch, tmp_path):
+    from repro.cli import _engine_from_args
+
+    monkeypatch.setenv("REPRO_SWEEP_METRICS", "1")
+    monkeypatch.setenv("REPRO_SWEEP_JOBS", "3")
+    monkeypatch.setenv("REPRO_SWEEP_QUEUE", str(tmp_path / "queue"))
+    engine = _engine_from_args(build_parser().parse_args(["sweep", "fig3"]))
+    assert engine.collect_metrics
+    assert engine.jobs == 3
+    assert engine.queue_dir == str(tmp_path / "queue")
+    # A given flag wins over its variable.
+    flagged = _engine_from_args(
+        build_parser().parse_args(["sweep", "fig3", "--jobs", "2"])
+    )
+    assert flagged.jobs == 2
+
+
+def test_interrupt_hint_names_the_environment_queue(monkeypatch, tmp_path):
+    from repro.harness import sweep as sweep_mod
+
+    real_execute = sweep_mod._execute_job
+    calls = []
+
+    def _interrupt_third(job, collect_metrics, check_invariants):
+        calls.append(job)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real_execute(job, collect_metrics, check_invariants)
+
+    monkeypatch.setattr(sweep_mod, "_execute_job", _interrupt_third)
+    monkeypatch.setenv("REPRO_SWEEP_QUEUE", str(tmp_path / "queue"))
+    code, text = run_cli("sweep", "fig3", "--scale", "quick", "--no-cache")
+    assert code == 130
+    assert "interrupted" in text
+    # The queue came from the environment, not a flag: the resume hint
+    # must still point at it.
+    assert f"--queue {tmp_path / 'queue'}" in text
