@@ -15,10 +15,9 @@ software prefetch mechanism."  Measured here:
 
 import pytest
 
-from repro.config import AccessMechanism, DeviceConfig, SystemConfig
+from repro.config import AccessMechanism, CpuConfig, DeviceConfig, SystemConfig
 from repro.harness.experiment import MeasureWindow, run_microbench
 from repro.harness.figures import FigureResult
-from repro.host.driver import PlatformConfig
 from repro.host.system import System
 from repro.units import us
 from repro.workloads.bloom import BloomParams, install_bloom
@@ -31,18 +30,19 @@ def run_mechanism(mechanism, threads, hw_prefetch):
     config = SystemConfig(
         mechanism=mechanism,
         threads_per_core=threads,
+        cpu=CpuConfig(hardware_prefetcher=hw_prefetch),
         device=DeviceConfig(total_latency_us=1.0),
     )
-    platform = PlatformConfig(hardware_prefetcher=hw_prefetch)
-    return run_microbench(
-        config, MicrobenchSpec(work_count=200), WINDOW, platform=platform
-    ).work_ipc
+    return run_microbench(config, MicrobenchSpec(work_count=200), WINDOW).work_ipc
 
 
 def bloom_coverage():
     system = System(
-        SystemConfig(mechanism=AccessMechanism.ON_DEMAND, threads_per_core=1),
-        platform=PlatformConfig(hardware_prefetcher=True),
+        SystemConfig(
+            mechanism=AccessMechanism.ON_DEMAND,
+            threads_per_core=1,
+            cpu=CpuConfig(hardware_prefetcher=True),
+        )
     )
     install_bloom(system, BloomParams(queries_per_thread=48), 1)
     system.run_to_completion(limit_ticks=10**12)

@@ -16,7 +16,7 @@ Run:  python examples/replay_methodology.py
 """
 
 from repro import AccessMechanism, DeviceConfig, MicrobenchSpec, SystemConfig
-from repro.config import DeviceMode, OnboardDramConfig
+from repro.config import OnboardDramConfig
 from repro.device.emulator import DmaEngine
 from repro.host.system import System
 from repro.units import to_us, us

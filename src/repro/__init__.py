@@ -40,7 +40,6 @@ from repro.config import (
     ThreadingConfig,
     UncoreConfig,
 )
-from repro.host.driver import PlatformConfig
 from repro.host.system import System, WindowStats
 from repro.units import gigahertz, ns, us
 from repro.workloads.bfs import BfsParams, install_bfs
@@ -65,7 +64,6 @@ __all__ = [
     "MicrobenchSpec",
     "OnboardDramConfig",
     "PcieConfig",
-    "PlatformConfig",
     "SwqConfig",
     "System",
     "SystemConfig",

@@ -13,7 +13,7 @@ import ast
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.analysis.codes import CODES
 from repro.analysis.pragmas import PragmaSet, parse_pragmas
@@ -336,7 +336,3 @@ def analyze_source(
         pragmas=parse_pragmas(source),
     )
     return _number_occurrences(_check_module(info, checkers))
-
-
-def iter_findings(result: AnalysisResult) -> Iterable[Finding]:
-    return iter(result.findings)

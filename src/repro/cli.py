@@ -214,16 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
     runs_show = runs_sub.add_parser(
         "show", help="print one ledger entry as JSON"
     )
-    runs_show.add_argument(
-        "ref", help="run index (0 oldest, -1 newest) or run-id prefix"
-    )
+    prefix_help = "run-id prefix, at least 8 characters if all digits"
+    runs_show.add_argument("ref", help=f"run index (0 oldest, -1 newest) or {prefix_help}")
     runs_diff = runs_sub.add_parser(
         "diff",
         help="diff two recorded runs (figure series, kernel stats, "
              "digests); exits 1 on any deviation",
     )
-    runs_diff.add_argument("a", help="baseline run (index or run-id prefix)")
-    runs_diff.add_argument("b", help="current run (index or run-id prefix)")
+    runs_diff.add_argument("a", help=f"baseline run (index or {prefix_help})")
+    runs_diff.add_argument("b", help=f"current run (index or {prefix_help})")
     runs_diff.add_argument("--rtol", type=float, default=0.0,
                            help="relative tolerance (default 0: exact)")
     runs_diff.add_argument("--atol", type=float, default=0.0,

@@ -208,6 +208,11 @@ class CpuConfig:
     #: Hardware SMT contexts (the paper disables hyperthreading; an
     #: ablation here re-enables it).
     smt_contexts: int = 1
+    #: The hardware stride prefetcher: the paper disables it "to avoid
+    #: interference with the software prefetch mechanism" (section
+    #: IV-A); enabling it measures that interference
+    #: (benchmarks/test_ablation_hw_prefetcher.py).
+    hardware_prefetcher: bool = False
     #: Store-buffer entries per core: posted writes retire at dispatch
     #: and drain in the background (section VII: write latency "can be
     #: more easily hidden by later instructions of the same thread").
@@ -357,17 +362,6 @@ class DeviceAttachment(enum.Enum):
     MEMORY_BUS = "memory-bus"
 
 
-class DeviceMode(enum.Enum):
-    """How the emulator produces response data."""
-
-    #: Serve data directly from the functional backing store (our
-    #: simulator is fast enough; default for experiments).
-    FUNCTIONAL = "functional"
-    #: Serve from a pre-recorded trace via the replay modules, with
-    #: on-demand fallback -- the paper's actual methodology.
-    REPLAY = "replay"
-
-
 @dataclass(frozen=True)
 class DeviceConfig:
     """The emulated microsecond-latency storage device."""
@@ -377,7 +371,6 @@ class DeviceConfig:
     #: configures the FPGA delay to include the PCIe round trip; we do
     #: the same (the delay module subtracts the modeled path latency).
     total_latency_us: float = 1.0
-    mode: DeviceMode = DeviceMode.FUNCTIONAL
     attachment: DeviceAttachment = DeviceAttachment.PCIE
     #: Sliding-window size of the replay module's associative lookup.
     replay_window: int = 64

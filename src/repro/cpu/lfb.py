@@ -206,7 +206,3 @@ class LineFillBuffers:
         self._slots.release()
         if tracer is not None:
             self._trace_occupancy()
-
-    def fill_latency_so_far(self, entry: MissEntry) -> int:
-        """Ticks since the miss was issued (stats helper)."""
-        return self.sim.now - entry.issued_at

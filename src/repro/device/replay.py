@@ -317,10 +317,6 @@ class ReplayModule:
             self.skipped_entries += 1
 
     @property
-    def window_occupancy(self) -> int:
-        return len(self._window)
-
-    @property
     def remaining(self) -> int:
         """Entries not yet admitted to the window."""
         if self._streamer is not None:

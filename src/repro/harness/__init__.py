@@ -13,10 +13,8 @@ from repro.harness.applications import (
     run_application,
 )
 from repro.harness.experiment import (
-    BaselineCache,
     MeasureWindow,
     MicrobenchResult,
-    microbench_baseline,
     normalized_microbench,
     run_microbench,
 )
@@ -58,12 +56,10 @@ __all__ = [
     "save_baseline",
     "APPLICATIONS",
     "AppRun",
-    "BaselineCache",
     "FigureResult",
     "MeasureWindow",
     "MicrobenchResult",
     "Series",
-    "microbench_baseline",
     "normalized_application",
     "normalized_microbench",
     "render_summary",

@@ -15,9 +15,8 @@ normalized by their total operation count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.config import AccessMechanism, BackingStore, SystemConfig
+from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.host.system import System
 from repro.workloads.bfs import BfsParams, install_bfs
@@ -118,73 +117,35 @@ def run_application(
     config: SystemConfig,
     name: str,
     params=None,
-    threads_per_core: Optional[int] = None,
     check_invariants: bool = False,
 ) -> AppRun:
     """Run one application to completion on ``config``.
 
-    ``check_invariants`` (or :func:`repro.testing.enforce_invariants`)
-    runs the online sanitizer alongside the simulation; it is a passive
-    observer, so timings are bit-for-bit unchanged.
+    ``check_invariants`` runs the online sanitizer alongside the
+    simulation; it is a passive observer, so timings are bit-for-bit
+    unchanged.
     """
     from repro.obs import invariants
 
     if params is None:
         params = default_params(name)
-    if threads_per_core is None:
-        threads_per_core = config.threads_per_core
     monitor = None
-    tracer = None
-    if check_invariants or invariants.forced():
+    if check_invariants:
         monitor = invariants.InvariantMonitor()
-        tracer = monitor
-    system = System(config, tracer=tracer)
+    system = System(config, tracer=monitor)
     if monitor is not None:
         monitor.attach(system)
-    operations = _install(system, name, params, threads_per_core)
+    operations = _install(system, name, params, config.threads_per_core)
     ticks = system.run_to_completion(limit_ticks=_RUN_LIMIT_TICKS)
     if monitor is not None:
         monitor.check_now()
     return AppRun(name, config, ticks, operations)
 
 
-class _AppBaselineCache:
-    def __init__(self) -> None:
-        self._cache: dict[tuple, AppRun] = {}
-
-    def get(self, config: SystemConfig, name: str, params) -> AppRun:
-        baseline_config = config.replace(
-            cores=1,
-            threads_per_core=1,
-            mechanism=AccessMechanism.ON_DEMAND,
-            backing=BackingStore.DRAM,
-        )
-        # Same key discipline as BaselineCache: cover everything the
-        # baseline run consumes, including the threading runtime.
-        key = (
-            name,
-            params,
-            baseline_config.cpu,
-            baseline_config.cache,
-            baseline_config.host_dram,
-            baseline_config.uncore,
-            baseline_config.threading,
-        )
-        if key not in self._cache:
-            self._cache[key] = run_application(
-                baseline_config, name, params, threads_per_core=1
-            )
-        return self._cache[key]
-
-
-_APP_BASELINES = _AppBaselineCache()
-
-
 def normalized_application(
     config: SystemConfig,
     name: str,
     params=None,
-    threads_per_core: Optional[int] = None,
     check_invariants: bool = False,
 ) -> tuple[float, AppRun]:
     """Per-operation speedup over the single-thread DRAM baseline.
@@ -192,11 +153,17 @@ def normalized_application(
     ``check_invariants`` sanitizes the measured run only (the baseline
     runs the same model, so checking it too would only double the cost).
     """
+    from repro.harness.sweep import SweepJob, baseline_job, normalize
+
     if params is None:
         params = default_params(name)
-    run = run_application(
-        config, name, params, threads_per_core,
-        check_invariants=check_invariants,
+    job = SweepJob(config=config, app=name, params=params)
+    run = run_application(config, name, params, check_invariants=check_invariants)
+    base = baseline_job(job)
+    baseline = run_application(base.config, name, params)
+    value = normalize(
+        job,
+        {"ticks": run.ticks, "operations": run.operations},
+        {"ticks": baseline.ticks, "operations": baseline.operations},
     )
-    baseline = _APP_BASELINES.get(config, name, params)
-    return baseline.ticks_per_operation / run.ticks_per_operation, run
+    return value, run

@@ -9,19 +9,17 @@ Implements the paper's measurement protocol (section IV-C):
 * application performance is baseline execution time / device
   execution time for the same operation count.
 
-Baselines are memoized per (work-count, MLP, CPU/DRAM parameters) so a
-sweep pays for each baseline once.
+The baseline run and the ratio come from :mod:`repro.harness.sweep`
+(:func:`~repro.harness.sweep.baseline_job`,
+:func:`~repro.harness.sweep.normalize`), the same rule the figures use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.config import AccessMechanism, BackingStore, SystemConfig
-from repro.errors import SimulationError
+from repro.config import SystemConfig
 from repro.obs import invariants
-from repro.host.driver import PlatformConfig
 from repro.host.system import System, WindowStats
 from repro.units import us
 from repro.workloads.microbench import MicrobenchSpec, install_microbench
@@ -30,9 +28,7 @@ __all__ = [
     "MeasureWindow",
     "MicrobenchResult",
     "run_microbench",
-    "microbench_baseline",
     "normalized_microbench",
-    "BaselineCache",
 ]
 
 
@@ -70,7 +66,6 @@ def run_microbench(
     config: SystemConfig,
     spec: MicrobenchSpec,
     window: MeasureWindow = MeasureWindow(),
-    platform: Optional[PlatformConfig] = None,
     tracer=None,
     collect_metrics: bool = False,
     check_invariants: bool = False,
@@ -84,15 +79,13 @@ def run_microbench(
     (:class:`repro.obs.invariants.InvariantMonitor`) alongside the
     simulation -- a passive observer, so results are bit-for-bit
     unchanged, but a broken conservation law raises an
-    :class:`~repro.obs.invariants.InvariantViolation`.  The sanitizer
-    is also force-enabled process-wide by
-    :func:`repro.testing.enforce_invariants`.
+    :class:`~repro.obs.invariants.InvariantViolation`.
     """
     monitor = None
-    if check_invariants or invariants.forced():
+    if check_invariants:
         monitor = invariants.InvariantMonitor()
         tracer = monitor.tee(tracer)
-    system = System(config, platform=platform, tracer=tracer)
+    system = System(config, tracer=tracer)
     if monitor is not None:
         monitor.attach(system)
     install_microbench(system, spec, config.threads_per_core)
@@ -106,80 +99,10 @@ def run_microbench(
     return MicrobenchResult(config, spec, stats, report)
 
 
-class BaselineCache:
-    """Memoized single-thread DRAM baselines, keyed by everything that
-    affects them."""
-
-    def __init__(self) -> None:
-        self._cache: dict[tuple, MicrobenchResult] = {}
-
-    def get(
-        self,
-        config: SystemConfig,
-        spec: MicrobenchSpec,
-        window: MeasureWindow,
-    ) -> MicrobenchResult:
-        baseline_config = config.replace(
-            cores=1,
-            threads_per_core=1,
-            mechanism=AccessMechanism.ON_DEMAND,
-            backing=BackingStore.DRAM,
-        )
-        # The key must cover every input the baseline run consumes:
-        # the stripped-down config (including the threading runtime,
-        # whose costs the scheduler charges even on the baseline) and
-        # every MicrobenchSpec field copied into the baseline spec
-        # below.  Omitting lines_per_thread here once let sweeps that
-        # vary the working-set size normalize against the wrong
-        # baseline.
-        key = (
-            baseline_config.cpu,
-            baseline_config.cache,
-            baseline_config.uncore,
-            baseline_config.host_dram,
-            baseline_config.threading,
-            spec.work_count,
-            spec.reads_per_batch,
-            spec.lines_per_thread,
-            window,
-        )
-        if key not in self._cache:
-            baseline_spec = MicrobenchSpec(
-                work_count=spec.work_count,
-                reads_per_batch=spec.reads_per_batch,
-                lines_per_thread=spec.lines_per_thread,
-            )
-            self._cache[key] = run_microbench(
-                baseline_config, baseline_spec, window
-            )
-        return self._cache[key]
-
-
-def microbench_baseline(
-    config: SystemConfig,
-    spec: MicrobenchSpec,
-    window: MeasureWindow = MeasureWindow(),
-    baselines: Optional[BaselineCache] = None,
-) -> MicrobenchResult:
-    """The single-threaded on-demand DRAM baseline for ``spec``.
-
-    Pass a :class:`BaselineCache` to memoize across calls; without one
-    the baseline is recomputed (deterministically) each time.  Figure
-    sweeps go through :mod:`repro.harness.sweep`, where baselines are
-    ordinary content-addressed cached jobs -- there is deliberately no
-    module-level cache here, because shared mutable module state is
-    invisible to worker processes and went stale across model changes.
-    """
-    cache = baselines if baselines is not None else BaselineCache()
-    return cache.get(config, spec, window)
-
-
 def normalized_microbench(
     config: SystemConfig,
     spec: MicrobenchSpec,
     window: MeasureWindow = MeasureWindow(),
-    platform: Optional[PlatformConfig] = None,
-    baselines: Optional[BaselineCache] = None,
     collect_metrics: bool = False,
     check_invariants: bool = False,
 ) -> tuple[float, MicrobenchResult]:
@@ -191,19 +114,17 @@ def normalized_microbench(
     ``check_invariants`` sanitizes the measured run (the baseline runs
     the same model, so checking it too would only double the cost).
     """
+    from repro.harness.sweep import SweepJob, baseline_job, normalize
+
+    job = SweepJob(config=config, spec=spec, window=window)
     result = run_microbench(
         config,
         spec,
         window,
-        platform,
         collect_metrics=collect_metrics,
         check_invariants=check_invariants,
     )
-    baseline = microbench_baseline(config, spec, window, baselines)
-    if baseline.work_ipc == 0:
-        raise SimulationError(
-            "baseline measured zero work IPC for "
-            f"{config.describe()} (work_count={spec.work_count}, "
-            f"MLP {spec.reads_per_batch}); cannot normalize"
-        )
-    return result.work_ipc / baseline.work_ipc, result
+    base = baseline_job(job)
+    baseline = run_microbench(base.config, base.spec, base.window)
+    value = normalize(job, {"work_ipc": result.work_ipc}, {"work_ipc": baseline.work_ipc})
+    return value, result

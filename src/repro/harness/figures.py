@@ -41,7 +41,7 @@ from repro.errors import SimulationError
 from repro.harness.applications import APPLICATIONS, default_params
 from repro.harness.experiment import MeasureWindow
 from repro.harness.service import ServiceParams
-from repro.harness.sweep import SweepEngine, SweepJob, SweepSpec, baseline_job
+from repro.harness.sweep import SweepEngine, SweepJob, SweepSpec, baseline_job, normalize
 from repro.units import NS, US
 from repro.workloads.loadgen import ArrivalSpec, KeySpec, OpenLoopSpec
 from repro.workloads.microbench import MicrobenchSpec
@@ -138,47 +138,22 @@ def _checked_payload(outcome) -> dict:
     return outcome.payload
 
 
-def _run_normalized_microbench(
+def _run_normalized(
     name: str,
     grid: list[tuple[Series, float, SweepJob]],
     engine: Optional[SweepEngine],
 ) -> None:
     """Run every (series, x, job) measurement plus its derived baseline
-    in one sweep, then fill the series with normalized work IPC."""
+    in one sweep, then fill the series with the normalized values
+    (:func:`~repro.harness.sweep.normalize`)."""
     engine = _resolve_engine(engine)
     jobs = [job for _line, _x, job in grid]
     sweep = SweepSpec(name, jobs + [baseline_job(job) for job in jobs])
     outcomes = engine.run(sweep)
     measured, baselines = outcomes[: len(jobs)], outcomes[len(jobs):]
     for (line, x, job), run, base in zip(grid, measured, baselines):
-        baseline_ipc = _checked_payload(base)["work_ipc"]
-        if baseline_ipc == 0:
-            raise SimulationError(
-                "baseline measured zero work IPC for "
-                f"{job.config.describe()} (work_count={job.spec.work_count}, "
-                f"MLP {job.spec.reads_per_batch}); cannot normalize"
-            )
-        line.add(x, _checked_payload(run)["work_ipc"] / baseline_ipc)
-
-
-def _run_normalized_applications(
-    name: str,
-    grid: list[tuple[Series, float, SweepJob]],
-    engine: Optional[SweepEngine],
-) -> None:
-    """Application counterpart: per-operation speedup over the
-    single-thread DRAM baseline (section IV-C)."""
-    engine = _resolve_engine(engine)
-    jobs = [job for _line, _x, job in grid]
-    sweep = SweepSpec(name, jobs + [baseline_job(job) for job in jobs])
-    outcomes = engine.run(sweep)
-    measured, baselines = outcomes[: len(jobs)], outcomes[len(jobs):]
-    for (line, x, _job), run, base in zip(grid, measured, baselines):
-        base_payload = _checked_payload(base)
-        run_payload = _checked_payload(run)
-        base_per_op = base_payload["ticks"] / base_payload["operations"]
-        run_per_op = run_payload["ticks"] / run_payload["operations"]
-        line.add(x, base_per_op / run_per_op)
+        baseline = _checked_payload(base)
+        line.add(x, normalize(job, _checked_payload(run), baseline))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +187,7 @@ def fig2(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureRe
                 window=_LONG_WINDOW,
             )
             grid.append((line, work, job))
-    _run_normalized_microbench("fig2", grid, engine)
+    _run_normalized("fig2", grid, engine)
     return result
 
 
@@ -246,7 +221,7 @@ def fig3(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureRe
                 window=_WINDOW,
             )
             grid.append((line, threads, job))
-    _run_normalized_microbench("fig3", grid, engine)
+    _run_normalized("fig3", grid, engine)
     return result
 
 
@@ -281,7 +256,7 @@ def fig4(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureRe
                 window=_WINDOW,
             )
             grid.append((line, threads, job))
-    _run_normalized_microbench("fig4", grid, engine)
+    _run_normalized("fig4", grid, engine)
     return result
 
 
@@ -318,7 +293,7 @@ def fig5(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureRe
                     window=_WINDOW,
                 )
                 grid.append((line, threads, job))
-    _run_normalized_microbench("fig5", grid, engine)
+    _run_normalized("fig5", grid, engine)
     return result
 
 
@@ -354,7 +329,7 @@ def fig6(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureRe
                 window=_WINDOW,
             )
             grid.append((line, threads, job))
-    _run_normalized_microbench("fig6", grid, engine)
+    _run_normalized("fig6", grid, engine)
     return result
 
 
@@ -394,7 +369,7 @@ def fig7(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureRe
                     window=_WINDOW,
                 )
                 grid.append((line, threads, job))
-    _run_normalized_microbench("fig7", grid, engine)
+    _run_normalized("fig7", grid, engine)
     return result
 
 
@@ -430,7 +405,7 @@ def fig8(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureRe
                     window=_WINDOW,
                 )
                 grid.append((line, threads, job))
-    _run_normalized_microbench("fig8", grid, engine)
+    _run_normalized("fig8", grid, engine)
     return result
 
 
@@ -468,7 +443,7 @@ def fig9(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureRe
                     window=_WINDOW,
                 )
                 grid.append((line, threads, job))
-    _run_normalized_microbench("fig9", grid, engine)
+    _run_normalized("fig9", grid, engine)
     return result
 
 
@@ -511,7 +486,7 @@ def fig10(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureR
                 )
                 job = SweepJob(config=config, app=app, params=params)
                 grid.append((line, threads, job))
-    _run_normalized_applications("fig10", grid, engine)
+    _run_normalized("fig10", grid, engine)
     return result
 
 

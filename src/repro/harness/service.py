@@ -17,7 +17,6 @@ from typing import Optional
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.harness.experiment import MeasureWindow
-from repro.host.driver import PlatformConfig
 from repro.host.system import System
 from repro.obs import invariants
 from repro.units import US, to_ns
@@ -125,7 +124,6 @@ def run_service(
     config: SystemConfig,
     params: ServiceParams,
     window: MeasureWindow = MeasureWindow(),
-    platform: Optional[PlatformConfig] = None,
     tracer=None,
     collect_metrics: bool = False,
     check_invariants: bool = False,
@@ -140,10 +138,10 @@ def run_service(
     :func:`repro.harness.experiment.run_microbench`.
     """
     monitor = None
-    if check_invariants or invariants.forced():
+    if check_invariants:
         monitor = invariants.InvariantMonitor()
         tracer = monitor.tee(tracer)
-    system = System(config, platform=platform, tracer=tracer)
+    system = System(config, tracer=tracer)
     ledger = None
     if params.spans:
         from repro.obs.spans import SpanLedger

@@ -45,9 +45,12 @@ sweep layer embarrassingly parallel and perfectly cacheable:
 Baselines are ordinary jobs: :func:`baseline_job` derives the
 single-thread on-demand DRAM run that normalizes a measurement, and
 the engine's key-level deduplication runs each distinct baseline once
-per sweep (and zero times when warm in the cache).  This replaces the
-process-unsafe module-level baseline singleton the harness used to
-rely on.
+per sweep (and zero times when warm in the cache).  :func:`normalize`
+turns a run's payload and its baseline's into the paper's metric.
+These two functions are the harness's only baseline rule: the figures
+and the direct :func:`~repro.harness.experiment.normalized_microbench`
+/ :func:`~repro.harness.applications.normalized_application` paths
+all go through them.
 
 Execution statistics flow through :class:`repro.sim.trace.ProbeSet`
 counters (``sweep-cache-hit``, ``sweep-cache-miss``, ``sweep-sim``,
@@ -80,7 +83,7 @@ from repro.config import (
     stable_digest,
     to_jsonable,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.harness import coordinator
 from repro.harness.applications import run_application
 from repro.harness.experiment import MeasureWindow, run_microbench
@@ -99,6 +102,7 @@ __all__ = [
     "SweepEngine",
     "baseline_job",
     "job_digest",
+    "normalize",
 ]
 
 #: Cache salt: bump whenever a model change alters simulator outputs
@@ -265,6 +269,27 @@ def baseline_job(job: SweepJob) -> SweepJob:
         lines_per_thread=job.spec.lines_per_thread,
     )
     return SweepJob(config=config, spec=spec, window=job.window)
+
+
+def normalize(job: SweepJob, run_payload: dict, baseline_payload: dict) -> float:
+    """The paper's normalized performance of ``job`` (section IV-C),
+    from its payload and that of its :func:`baseline_job`.
+
+    A microbenchmark reports work IPC over the baseline's; an
+    application reports per-operation speedup, baseline time per
+    operation over the run's, so higher is better for both.
+    """
+    if job.app is not None:
+        baseline_per_op = baseline_payload["ticks"] / baseline_payload["operations"]
+        return baseline_per_op / (run_payload["ticks"] / run_payload["operations"])
+    baseline_ipc = baseline_payload["work_ipc"]
+    if baseline_ipc == 0:
+        raise SimulationError(
+            "baseline measured zero work IPC for "
+            f"{job.config.describe()} (work_count={job.spec.work_count}, "
+            f"MLP {job.spec.reads_per_batch}); cannot normalize"
+        )
+    return run_payload["work_ipc"] / baseline_ipc
 
 
 def _execute_job(

@@ -1,8 +1,7 @@
-"""Host-side integration: address map, root complex, platform, system."""
+"""Host-side integration: address map, root complex, system."""
 
 from repro.host.addressmap import DEVICE_BASE, AddressMap
 from repro.host.bridge import DramTarget, HostBridge, MmioTarget
-from repro.host.driver import PlatformConfig
 from repro.host.system import System, WindowStats
 
 __all__ = [
@@ -11,7 +10,6 @@ __all__ = [
     "DramTarget",
     "HostBridge",
     "MmioTarget",
-    "PlatformConfig",
     "System",
     "WindowStats",
 ]

@@ -41,7 +41,6 @@ from repro.host.bridge import (
     MmioTarget,
     PcieWriteSink,
 )
-from repro.host.driver import PlatformConfig
 from repro.interconnect.dram import DramChannel
 from repro.interconnect.pcie import PcieLink
 from repro.memory import FlatMemory
@@ -91,7 +90,6 @@ class System:
     def __init__(
         self,
         config: SystemConfig,
-        platform: Optional[PlatformConfig] = None,
         tracer=None,
     ) -> None:
         """``tracer`` (a :class:`repro.obs.Tracer`, or anything with
@@ -99,8 +97,6 @@ class System:
         builder attaches it to every instrumented component.  ``None``
         (the default) leaves every hook a no-op."""
         self.config = config
-        self.platform = platform if platform is not None else PlatformConfig()
-        self.platform.validate(config.mechanism, config.cores)
         self.sim = Simulator()
         line_bytes = config.cache.line_bytes
         self.world = FlatMemory(line_bytes=line_bytes)
@@ -222,7 +218,7 @@ class System:
                 config.cpu.frequency,
                 drop_prefetch_when_full=config.cpu.prefetch_drop_when_full,
             )
-            if self.platform.hardware_prefetcher:
+            if config.cpu.hardware_prefetcher:
                 from repro.cpu.hwprefetch import StridePrefetcher
 
                 memsys.hw_prefetcher = StridePrefetcher(memsys)

@@ -204,8 +204,5 @@ class PcieLink:
         )
         return request + completion + 2 * ns(self.config.propagation_ns)
 
-    def total_payload_bytes(self) -> int:
-        return self.downstream.payload_bytes + self.upstream.payload_bytes
-
     def total_wire_bytes(self) -> int:
         return self.downstream.wire_bytes + self.upstream.wire_bytes

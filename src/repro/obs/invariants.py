@@ -17,9 +17,7 @@ N trace events in a ring so a violation's diagnostic shows what the
 simulation was doing when the law broke.
 
 Enable with ``--check-invariants`` on ``repro run/figure/sweep`` (or
-``check_invariants=True`` on the harness entry points); tests can
-force-enable every monitored run in a scope via
-:func:`repro.testing.enforce_invariants`.
+``check_invariants=True`` on the harness entry points).
 """
 
 from __future__ import annotations
@@ -34,24 +32,7 @@ __all__ = [
     "InvariantViolation",
     "InvariantMonitor",
     "TeeTracer",
-    "forced",
-    "set_forced",
 ]
-
-#: Process-wide override: when True, the harness entry points behave as
-#: if ``check_invariants=True`` was passed.  Flip it through
-#: :func:`set_forced` (tests use :func:`repro.testing.enforce_invariants`).
-_forced = False
-
-
-def forced() -> bool:
-    """True when invariant checking is force-enabled for this process."""
-    return _forced
-
-
-def set_forced(value: bool) -> None:
-    global _forced
-    _forced = bool(value)
 
 
 class InvariantViolation(SimulationError):

@@ -51,6 +51,11 @@ LEDGER_FORMAT = "repro-runlog-v1"
 #: ``.repro_cache``); override with ``REPRO_RUNS_DIR``.
 DEFAULT_RUNS_DIR = ".repro_runs"
 
+#: Shortest ref that :meth:`RunLedger.resolve` reads as a run-id prefix
+#: even when it is all digits, as a hex id's first characters can be:
+#: no ledger holds 10**7 entries, so such a ref is never an index.
+_MIN_ID_PREFIX = 8
+
 
 def git_sha() -> Optional[str]:
     """The working tree's commit SHA, or None outside a git checkout."""
@@ -170,13 +175,16 @@ class RunLedger:
 
     def resolve(self, ref: str) -> dict:
         """An entry by integer index (``0`` oldest, ``-1`` newest) or by
-        ``run_id`` prefix."""
+        ``run_id`` prefix.  A ref of at least :data:`_MIN_ID_PREFIX`
+        characters is a prefix even when it is all digits."""
         entries = self.entries()
         if not entries:
             raise ConfigError(f"run ledger {self.path} is empty")
         try:
-            index = int(ref)
+            index = int(ref) if len(ref) < _MIN_ID_PREFIX else None
         except ValueError:
+            index = None
+        if index is None:
             matches = [
                 entry
                 for entry in entries

@@ -161,10 +161,6 @@ class AccessContext:
         values = yield from self.read_batch([addr])
         return values[0]
 
-    def read_async(self, addr: int):
-        tokens = yield from self.read_batch_async([addr])
-        return tokens
-
     def write(self, addr: int, value: int):
         """Posted dev_store: update memory, account the write's timing.
 

@@ -1,4 +1,4 @@
-"""Test doubles and harness shortcuts used by the test suite.
+"""Test doubles used by the test suite.
 
 Shipping these in the package (rather than burying them in conftest)
 lets downstream users unit-test their own extensions against the same
@@ -7,35 +7,12 @@ fakes.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Optional
 
 from repro.memory import FlatMemory
 from repro.sim import Event, Simulator
 
-__all__ = ["FixedLatencyTarget", "enforce_invariants"]
-
-
-@contextmanager
-def enforce_invariants():
-    """Force the invariant sanitizer on for every run in the block.
-
-    Inside the context, every :func:`repro.harness.run_microbench` /
-    :func:`repro.harness.run_application` call attaches an
-    :class:`repro.obs.InvariantMonitor` as if ``check_invariants=True``
-    had been passed -- so a test exercising any harness path also
-    asserts the model's conservation laws.  Process-local only: sweep
-    worker processes must be asked explicitly via
-    ``SweepEngine(check_invariants=True)``.
-    """
-    from repro.obs import invariants
-
-    previous = invariants.forced()
-    invariants.set_forced(True)
-    try:
-        yield
-    finally:
-        invariants.set_forced(previous)
+__all__ = ["FixedLatencyTarget"]
 
 
 class FixedLatencyTarget:

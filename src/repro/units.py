@@ -120,15 +120,6 @@ def gigahertz(value: float) -> Frequency:
     return Frequency(value * 1e9)
 
 
-def bytes_per_second(rate: float) -> float:
-    """Convert bytes/second to bytes **per tick** (float).
-
-    Link models multiply by a byte count and round, so keeping the rate
-    as a float loses no generality.
-    """
-    return rate / S
-
-
 @functools.lru_cache(maxsize=None)
 def transfer_ticks(num_bytes: int, rate_bytes_per_s: float) -> int:
     """Serialization delay of ``num_bytes`` at ``rate_bytes_per_s``.

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.config import AccessMechanism, SystemConfig
+from repro.config import AccessMechanism, CpuConfig, SystemConfig
 from repro.errors import ConfigError
-from repro.host.driver import PlatformConfig
 from repro.host.system import System
 from repro.units import to_us
 from repro.workloads.microbench import MicrobenchSpec, install_microbench
@@ -12,8 +11,11 @@ from repro.workloads.microbench import MicrobenchSpec, install_microbench
 
 def build(hw_prefetch, mechanism=AccessMechanism.ON_DEMAND, **overrides):
     return System(
-        SystemConfig(mechanism=mechanism, **overrides),
-        platform=PlatformConfig(hardware_prefetcher=hw_prefetch),
+        SystemConfig(
+            mechanism=mechanism,
+            cpu=CpuConfig(hardware_prefetcher=hw_prefetch),
+            **overrides,
+        )
     )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import AccessMechanism, BackingStore, DeviceConfig, SystemConfig
+from repro.config import AccessMechanism, DeviceConfig, SystemConfig
 from repro.harness.applications import (
     MicrobenchAppParams,
     default_params,
@@ -10,12 +10,11 @@ from repro.harness.applications import (
     run_application,
 )
 from repro.harness.experiment import (
-    BaselineCache,
     MeasureWindow,
-    microbench_baseline,
     normalized_microbench,
     run_microbench,
 )
+from repro.harness.sweep import SweepJob, baseline_job, job_digest
 from repro.workloads.microbench import MicrobenchSpec
 
 WINDOW = MeasureWindow(warmup_us=10.0, measure_us=30.0)
@@ -35,41 +34,21 @@ def test_run_microbench_produces_stats_and_report():
     assert "lfb_max_per_core" in result.report
 
 
-def test_baseline_is_single_thread_dram():
-    config = SystemConfig(
-        mechanism=AccessMechanism.PREFETCH, cores=4, threads_per_core=8
-    )
-    baseline = microbench_baseline(config, MicrobenchSpec(work_count=100), WINDOW)
-    assert baseline.config.cores == 1
-    assert baseline.config.threads_per_core == 1
-    assert baseline.config.backing is BackingStore.DRAM
-    assert baseline.config.mechanism is AccessMechanism.ON_DEMAND
-
-
-def test_baseline_cache_reuses_runs():
-    cache = BaselineCache()
-    config = SystemConfig(mechanism=AccessMechanism.PREFETCH)
-    spec = MicrobenchSpec(work_count=100)
-    first = cache.get(config, spec, WINDOW)
-    second = cache.get(config.replace(threads_per_core=12), spec, WINDOW)
-    assert first is second  # same baseline key
-    third = cache.get(config, MicrobenchSpec(work_count=200), WINDOW)
-    assert third is not first  # different work-count, different baseline
-
-
 def test_baseline_cache_distinguishes_lines_per_thread():
     """Regression: the memo key once dropped lines_per_thread, so a
     working-set sweep normalized against the wrong DRAM baseline."""
-    cache = BaselineCache()
     config = SystemConfig(mechanism=AccessMechanism.PREFETCH)
     tiny = MeasureWindow(warmup_us=2.0, measure_us=8.0)
-    small = cache.get(
-        config, MicrobenchSpec(work_count=50, lines_per_thread=64), tiny
-    )
-    large = cache.get(
-        config, MicrobenchSpec(work_count=50, lines_per_thread=2048), tiny
-    )
-    assert small is not large
+
+    def baseline(lines):
+        spec = MicrobenchSpec(work_count=50, lines_per_thread=lines)
+        return baseline_job(SweepJob(config=config, spec=spec, window=tiny))
+
+    small_job, large_job = baseline(64), baseline(2048)
+    # The memo is the result cache, keyed by the job digest.
+    assert job_digest(small_job) != job_digest(large_job)
+    small = run_microbench(small_job.config, small_job.spec, tiny)
+    large = run_microbench(large_job.config, large_job.spec, tiny)
     assert small.spec.lines_per_thread == 64
     assert large.spec.lines_per_thread == 2048
     # The distinction matters: 64 lines live in the L1, 2048 thrash it.
@@ -85,7 +64,7 @@ def test_zero_ipc_baseline_raises_simulation_error(monkeypatch):
 
     monkeypatch.setattr(
         experiment, "run_microbench",
-        lambda config, spec, window, platform=None, **kwargs: _Dead(),
+        lambda config, spec, window, **kwargs: _Dead(),
     )
     config = SystemConfig(mechanism=AccessMechanism.ON_DEMAND)
     with pytest.raises(SimulationError) as excinfo:
@@ -98,17 +77,6 @@ def test_zero_ipc_baseline_raises_simulation_error(monkeypatch):
     assert "work_count=7" in message
 
 
-def test_baseline_matches_mlp():
-    cache = BaselineCache()
-    config = SystemConfig(mechanism=AccessMechanism.PREFETCH)
-    mlp1 = cache.get(config, MicrobenchSpec(work_count=100), WINDOW)
-    mlp4 = cache.get(
-        config, MicrobenchSpec(work_count=100, reads_per_batch=4), WINDOW
-    )
-    assert mlp1 is not mlp4
-    assert mlp4.spec.reads_per_batch == 4
-
-
 def test_normalized_microbench_is_ratio():
     config = SystemConfig(
         mechanism=AccessMechanism.ON_DEMAND,
@@ -116,7 +84,8 @@ def test_normalized_microbench_is_ratio():
     )
     spec = MicrobenchSpec(work_count=100)
     value, result = normalized_microbench(config, spec, WINDOW)
-    baseline = microbench_baseline(config, spec, WINDOW)
+    base = baseline_job(SweepJob(config=config, spec=spec, window=WINDOW))
+    baseline = run_microbench(base.config, base.spec, base.window)
     assert value == pytest.approx(result.work_ipc / baseline.work_ipc)
     assert 0 < value < 1
 

@@ -6,10 +6,19 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import AccessMechanism, DeviceConfig, SystemConfig
+from repro.config import (
+    AccessMechanism,
+    BackingStore,
+    CpuConfig,
+    DeviceAttachment,
+    DeviceConfig,
+    SwqConfig,
+    SystemConfig,
+)
 from repro.errors import ConfigError, SimulationError
 from repro.harness import figures
 from repro.harness import sweep as sweep_mod
+from repro.harness.applications import default_params, normalized_application
 from repro.harness.experiment import MeasureWindow, normalized_microbench
 from repro.harness.figures import Series
 from repro.harness.sweep import (
@@ -64,6 +73,12 @@ def test_job_digest_is_stable_and_input_sensitive():
     # The working-set size is part of the identity (the baseline-cache
     # bug this PR fixes was exactly this field going missing).
     assert job_digest(_job()) != job_digest(_job(lines_per_thread=2048))
+    # The hardware-prefetcher ablation never shares cache entries with
+    # plain runs.
+    prefetching = replace(
+        _job(), config=_job().config.replace(cpu=CpuConfig(hardware_prefetcher=True))
+    )
+    assert job_digest(_job()) != job_digest(prefetching)
 
 
 def test_job_digest_salt_and_label():
@@ -83,6 +98,7 @@ def test_baseline_job_keeps_consumed_spec_fields():
     assert base.config.cores == 1
     assert base.config.threads_per_core == 1
     assert base.config.mechanism is AccessMechanism.ON_DEMAND
+    assert base.config.backing is BackingStore.DRAM
     assert base.spec.work_count == 120
     assert base.spec.reads_per_batch == 2
     assert base.spec.lines_per_thread == 512
@@ -239,13 +255,30 @@ def test_timeout_falls_back_in_process():
 # ---------------------------------------------------------------------------
 
 def test_sweep_normalization_matches_direct_path():
-    job = _job(threads=4, work=80)
-    line = Series("check")
-    figures._run_normalized_microbench(
-        "mini", [(line, 4, job)], SweepEngine(jobs=1, use_cache=False)
+    plain = _job(threads=4, work=80)
+    configs = (
+        plain.config,
+        plain.config.replace(
+            device=DeviceConfig(attachment=DeviceAttachment.MEMORY_BUS)
+        ),
+        plain.config.replace(cpu=CpuConfig(smt_contexts=2)),
+        plain.config.replace(
+            mechanism=AccessMechanism.SOFTWARE_QUEUE,
+            device=DeviceConfig(total_latency_us=4.0),
+            swq=SwqConfig(ring_entries=8),
+        ),
     )
-    direct, _ = normalized_microbench(job.config, job.spec, TINY)
-    assert line.y_at(4) == direct
+    jobs = [replace(plain, config=config) for config in configs]
+    bloom = default_params("bloom", ops_per_thread=4)
+    jobs.append(SweepJob(config=plain.config, app="bloom", params=bloom))
+    grid = [(Series(job.describe()), 4, job) for job in jobs]
+    figures._run_normalized("mini", grid, SweepEngine(jobs=1, use_cache=False))
+    for line, _x, job in grid:
+        if job.app is None:
+            direct, _ = normalized_microbench(job.config, job.spec, TINY)
+        else:
+            direct, _ = normalized_application(job.config, job.app, job.params)
+        assert line.y_at(4) == direct, job.describe()
 
 
 def test_zero_ipc_baseline_raises_simulation_error_in_sweep():
@@ -256,7 +289,7 @@ def test_zero_ipc_baseline_raises_simulation_error_in_sweep():
     )
     line = Series("zero")
     with pytest.raises(SimulationError, match="zero work IPC"):
-        figures._run_normalized_microbench(
+        figures._run_normalized(
             "zero", [(line, 1, job)], SweepEngine(jobs=1, use_cache=False)
         )
 

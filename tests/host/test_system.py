@@ -11,7 +11,6 @@ from repro.config import (
 )
 from repro.cpu.uncore import AddressSpace
 from repro.errors import ConfigError, SimulationError
-from repro.host.driver import PlatformConfig
 from repro.host.system import System
 from repro.units import ns, to_ns, us
 
@@ -69,19 +68,6 @@ def test_too_low_device_latency_rejected():
     config = SystemConfig(device=DeviceConfig(total_latency_us=0.5))
     with pytest.raises(ConfigError, match="below"):
         System(config)
-
-
-def test_platform_validation_enforced():
-    config = SystemConfig(mechanism=AccessMechanism.PREFETCH)
-    with pytest.raises(ConfigError):
-        System(config, platform=PlatformConfig(bar_cacheable=False))
-    with pytest.raises(ConfigError):
-        System(config, platform=PlatformConfig(isolated_cores=(0, 0)))
-    # Software queues do not need a cacheable BAR.
-    System(
-        SystemConfig(mechanism=AccessMechanism.SOFTWARE_QUEUE),
-        platform=PlatformConfig(bar_cacheable=False),
-    )
 
 
 def test_device_partition_allocation_is_per_core():

@@ -102,15 +102,13 @@ def test_kernel_queue_with_multicore():
 
 
 def test_hw_prefetcher_with_smt():
-    from repro.host.driver import PlatformConfig
-
     config = SystemConfig(
         mechanism=AccessMechanism.ON_DEMAND,
         threads_per_core=1,
-        cpu=CpuConfig(smt_contexts=2),
+        cpu=CpuConfig(smt_contexts=2, hardware_prefetcher=True),
         device=DeviceConfig(total_latency_us=1.0),
     )
-    system = System(config, platform=PlatformConfig(hardware_prefetcher=True))
+    system = System(config)
     install_microbench(system, MicrobenchSpec(work_count=200), 1)
     system.run_window(us(20), us(60))
     # One prefetcher per physical memory subsystem, trained by both

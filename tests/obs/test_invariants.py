@@ -10,7 +10,6 @@ from repro.harness.experiment import MeasureWindow, run_microbench
 from repro.host.system import System
 from repro.obs import InvariantMonitor, InvariantViolation, TeeTracer
 from repro.obs.scenarios import TRACE_SCENARIOS
-from repro.testing import enforce_invariants
 from repro.units import us
 from repro.workloads.microbench import MicrobenchSpec, install_microbench
 
@@ -69,6 +68,7 @@ def test_monitor_is_passive():
     spec = MicrobenchSpec(work_count=100, reads_per_batch=2)
     plain = run_microbench(_config(), spec, TINY)
     checked = run_microbench(_config(), spec, TINY, check_invariants=True)
+    assert "invariants" not in plain.report
     assert checked.stats.work_instructions == plain.stats.work_instructions
     assert checked.stats.accesses == plain.stats.accesses
     assert checked.work_ipc == plain.work_ipc
@@ -191,12 +191,3 @@ def test_monitor_tee_returns_self_without_tracer():
     assert monitor.tee(None) is monitor
     tee = monitor.tee(object.__new__(TeeTracer))
     assert isinstance(tee, TeeTracer)
-
-
-def test_enforce_invariants_forces_harness_checks():
-    spec = MicrobenchSpec(work_count=100)
-    with enforce_invariants():
-        result = run_microbench(_config(), spec, TINY)
-        assert "invariants" in result.report
-    result = run_microbench(_config(), spec, TINY)
-    assert "invariants" not in result.report

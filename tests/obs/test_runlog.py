@@ -87,3 +87,18 @@ def test_digest_of_is_order_insensitive():
 def test_git_sha_in_this_checkout_is_hex_or_none():
     sha = git_sha()
     assert sha is None or (len(sha) == 40 and int(sha, 16) >= 0)
+
+
+def test_all_digit_run_id_prefix_is_not_an_index(tmp_path, monkeypatch):
+    # A hex run id whose first 8 characters are digits is a prefix, not
+    # an out-of-range index; short integer refs stay indices.
+    from repro.obs import runlog
+
+    ledger = _ledger(tmp_path)
+    ledger.record({"command": "run", "index": 0})
+    monkeypatch.setattr(runlog, "digest_of", lambda payload: "1234567890ab" + "0" * 52)
+    ledger.record({"command": "figure", "index": 1})
+    assert ledger.resolve("12345678")["index"] == 1
+    assert ledger.resolve("1234567890ab")["index"] == 1
+    assert ledger.resolve("0")["index"] == 0
+    assert ledger.resolve("-1")["index"] == 1
