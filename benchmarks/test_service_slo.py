@@ -88,9 +88,11 @@ def test_figA_open_loop_slo(benchmark, scale, publish):
     )
 
     # Exact determinism gate against the committed baseline.  Quick
-    # scale only: the baseline is committed for the CI grid.
+    # scale only: the baseline is committed for the CI grid.  Like
+    # perfbench's check, it applies whatever MODEL_VERSION says, so a
+    # version bump cannot skip it.
     baseline = json.loads(BASELINE_PATH.read_text())
-    if scale == baseline["scale"] and MODEL_VERSION == baseline["model_version"]:
+    if scale == baseline["scale"]:
         assert payload["p99_us"] == baseline["p99_us"], (
             "service p99 drifted from the committed baseline; if the "
             "model change is intentional, bump MODEL_VERSION and "

@@ -435,9 +435,11 @@ def _command_run(args: argparse.Namespace, out, record=None) -> int:
           f"{units.to_us(result.stats.ticks):.0f} us", file=out)
     print(f"LFB peak      : {max(report['lfb_max_per_core'])} / {args.lfb}", file=out)
     print(f"chip-q peak   : {report['uncore_pcie_max']} / {args.chip_queue}", file=out)
-    up = (report["pcie_up_wire_bytes"]
-          / units.to_seconds(result.stats.ticks) / units.GB)
-    print(f"PCIe upstream : {up:.2f} GB/s on the wire", file=out)
+    # The link counts wire bytes from time zero, so divide by the
+    # whole run, warmup included.
+    run_ticks = window.warmup_ticks + result.stats.ticks
+    up = report["pcie_up_wire_bytes"] / units.to_seconds(run_ticks) / units.GB
+    print(f"PCIe upstream : {up:.2f} GB/s on the wire (whole run)", file=out)
     if args.metrics:
         import json
 

@@ -5,8 +5,8 @@ this driver runs the memcached workload as a *service* under an
 open-loop arrival process (:mod:`repro.workloads.loadgen`) and reports
 the SLO quantities: p50/p99/p999 end-to-end sojourn time, queue-wait
 tail, jitter, and achieved vs offered throughput, all over the
-steady-state measurement window (warmup excluded -- the probes'
-windowed reservoirs guarantee it).
+steady-state measurement window (warmup excluded: the system resets
+its probes when the window opens).
 """
 
 from __future__ import annotations
@@ -147,9 +147,6 @@ def run_service(
         from repro.obs.spans import SpanLedger
 
         ledger = SpanLedger(system.probes, k_slowest=params.span_exemplars)
-        # Per-core stats must exist before the measurement window
-        # toggles probe activation (see SpanLedger.prepare_cores).
-        ledger.prepare_cores(range(config.cores))
         # Hang the ledger before the monitor attaches so its checker
         # list includes the span-bookkeeping law.
         system.spans = ledger
@@ -173,22 +170,22 @@ def run_service(
     sojourn = state.sojourn
     measure_ticks = stats.ticks
     measure_us = measure_ticks / US if measure_ticks else 0.0
-    completions = state.completions.windowed
+    completions = state.completions.total
     attribution = ledger.attribution() if ledger is not None else None
     exemplars = ledger.exemplar_payload() if ledger is not None else None
     return ServiceResult(
         config=config,
         params=params,
         offered_per_core_us=params.open_loop.arrivals.rate_per_us,
-        arrivals=state.arrivals.windowed,
+        arrivals=state.arrivals.total,
         completions=completions,
-        p50_ns=to_ns(sojourn.windowed_percentile(50)),
-        p99_ns=to_ns(sojourn.windowed_percentile(99)),
-        p999_ns=to_ns(sojourn.windowed_percentile(99.9)),
-        mean_ns=to_ns(sojourn.windowed_mean),
-        max_ns=to_ns(sojourn.windowed_max or 0),
+        p50_ns=to_ns(sojourn.percentile(50)),
+        p99_ns=to_ns(sojourn.percentile(99)),
+        p999_ns=to_ns(sojourn.percentile(99.9)),
+        mean_ns=to_ns(sojourn.mean),
+        max_ns=to_ns(sojourn.maximum or 0),
         jitter_ns=to_ns(sojourn.jitter),
-        wait_p99_ns=to_ns(state.queue_wait.windowed_percentile(99)),
+        wait_p99_ns=to_ns(state.queue_wait.percentile(99)),
         queue_depth_mean=state.queue_depth.mean(system.sim.now),
         queue_depth_max=state.queue_depth.maximum,
         achieved_per_us=completions / measure_us if measure_us else 0.0,

@@ -124,7 +124,14 @@ __all__ = [
 #: events fired, run-queue bypasses, process resumes and spawns; the
 #: same heap pushes), and a span-enabled service payload whose window
 #: saw no completion now attributes 0 requests.
-MODEL_VERSION = "7"
+#: "8": one window rule -- the system's ProbeSet is reset when the
+#: measurement window opens.  Simulation outputs are bit-for-bit
+#: unchanged, but metrics snapshots lose their ``windowed`` fields and
+#: their ProbeSet rows (``work``, ``access_latency``, ``spans.*``) now
+#: describe the window; a service window with no completion reports a
+#: NaN jitter, like its other sojourn statistics, and a span table's
+#: ``per_core`` lists only the cores that completed a request.
+MODEL_VERSION = "8"
 
 
 @dataclass(frozen=True)
@@ -459,7 +466,6 @@ class SweepEngine:
         salt: str = MODEL_VERSION,
         timeout_s: float = 900.0,
         retries: int = 1,
-        probes: Optional[ProbeSet] = None,
         collect_metrics: bool = False,
         check_invariants: bool = False,
         progress=None,
@@ -491,7 +497,7 @@ class SweepEngine:
         )
         self.timeout_s = timeout_s
         self.retries = retries
-        self.probes = probes if probes is not None else ProbeSet()
+        self.probes = ProbeSet()
         self.cache = (
             ResultCache(cache_dir) if use_cache and cache_dir else None
         )

@@ -552,18 +552,17 @@ class System:
         """Run, then measure work IPC over a steady-state window."""
         self.start()
         self.sim.run(until=self.sim.now + warmup_ticks)
-        self.probes.reset_windows()
+        # The window opens: every probe in the set restarts from zero.
+        self.probes.reset()
         if self.spans is not None:
             # Exemplar reservoirs follow the same window discipline as
             # the probes: warmup spans never become exemplars.
             self.spans.reset_window()
-        self.probes.set_window_active(True)
         accesses_before = self._total_accesses()
         start = self.sim.now
         self.sim.run(until=start + measure_ticks)
-        self.probes.set_window_active(False)
         ticks = self.sim.now - start
-        work = self.work_counter.windowed
+        work = self.work_counter.total
         cycles = self.config.cpu.frequency.to_cycles(ticks)
         return WindowStats(
             ticks=ticks,
@@ -596,7 +595,16 @@ class System:
     # -- diagnostics -------------------------------------------------------------------
 
     def report(self) -> dict:
-        """Occupancy / bandwidth diagnostics for tests and benches."""
+        """Occupancy / bandwidth diagnostics for tests and benches.
+
+        ``access_latency_ns`` covers the accesses since
+        :meth:`run_window` opened the measurement window (since
+        construction in a run without one).
+        ``pcie_*_bytes``, ``lfb_max_per_core``, ``uncore_*_max``,
+        ``context_switches``, ``device_requests`` and
+        ``deadline_misses`` come from component-owned counters and
+        count from construction, warmup included.
+        """
         report = {
             "lfb_max_per_core": [
                 core.memsys.lfb.max_in_flight for core in self.cores
@@ -620,27 +628,15 @@ class System:
 
     @staticmethod
     def _latency_report(stat) -> Optional[dict]:
-        """Window-aware latency summary in ns.  Once the measurement
-        window has recorded samples, *every* value (count/mean/max as
-        well as the percentiles) comes from the window -- the same rule
-        as ``LatencyStat.percentile`` and the registry render, which
-        previously disagreed with this report's lifetime mean/max."""
-        if stat.windowed_count:
-            count = stat.windowed_count
-            mean = stat.windowed_mean
-            maximum = stat.windowed_max
-        elif stat.count:
-            count = stat.count
-            mean = stat.mean
-            maximum = stat.maximum
-        else:
+        """Latency summary in ns, or ``None`` before any sample."""
+        if not stat.count:
             return None
         return {
-            "count": count,
-            "mean": to_ns(mean),
+            "count": stat.count,
+            "mean": to_ns(stat.mean),
             "p50": to_ns(stat.percentile(50)),
             "p99": to_ns(stat.percentile(99)),
             "p999": to_ns(stat.percentile(99.9)),
             "jitter": to_ns(stat.jitter),
-            "max": to_ns(maximum or 0),
+            "max": to_ns(stat.maximum),
         }

@@ -10,7 +10,11 @@ dict, in the spirit of gem5's stat dumps.
 
 The registry is *pull-based*: registration stores a reference to the
 live probe, so building a registry costs nothing per simulated event
-and a snapshot can be taken at any simulated time.
+and a snapshot can be taken at any simulated time.  A probe renders
+what it holds: a system :class:`~repro.sim.trace.ProbeSet` member
+(``work``, ``access_latency``, ``spans.*``) describes the measurement
+window, since the set is reset when the window opens, and a
+component-owned probe counts from construction.
 """
 
 from __future__ import annotations
@@ -35,14 +39,8 @@ def _finite(value: float) -> Any:
 
 def _render(probe: Probe, now: int) -> dict:
     if isinstance(probe, Counter):
-        return {
-            "type": "counter",
-            "total": probe.total,
-            "windowed": probe.windowed,
-        }
+        return {"type": "counter", "total": probe.total}
     if isinstance(probe, LatencyStat):
-        # percentile()/jitter are window-aware: inside a measurement
-        # window they report from the warmup-excluding reservoir.
         return {
             "type": "latency",
             "count": probe.count,
@@ -53,9 +51,6 @@ def _render(probe: Probe, now: int) -> dict:
             "p99": _finite(probe.percentile(99)),
             "p999": _finite(probe.percentile(99.9)),
             "jitter": _finite(probe.jitter),
-            "windowed": bool(probe.windowed_count),
-            "windowed_count": probe.windowed_count,
-            "windowed_mean": _finite(probe.windowed_mean),
         }
     if isinstance(probe, TimeWeighted):
         return {

@@ -192,24 +192,15 @@ class _SegmentStats:
             self.stats[name].record(ticks)
 
 
-def _stat_view(stat: LatencyStat, windowed: bool) -> tuple[int, int]:
-    """(count, total) over the measurement window, or over the stat's
-    lifetime.  A windowed view never falls back to lifetime: a window
-    that recorded no completion reports 0 requests, as the harness's
-    windowed completion count does."""
-    if windowed:
-        return stat.windowed_count, stat.windowed_total
-    return stat.count, stat.total
-
-
 class SpanLedger:
     """Opens, closes, checks, and aggregates request spans.
 
     With ``probes`` given (the system's :class:`ProbeSet`), per-segment
-    stats ride the harness measurement window exactly like every other
-    probe, and :meth:`attribution` reports that window -- an empty one
-    as 0 requests; standalone ledgers (tests) aggregate over their
-    lifetime.
+    stats join that set, which the harness resets when the measurement
+    window opens, so :meth:`attribution` reports that window -- an
+    empty one as 0 requests.  A per-core stat first created inside the
+    window starts empty and so covers it exactly.  Standalone ledgers
+    (tests) aggregate over their lifetime.
     """
 
     def __init__(
@@ -244,23 +235,6 @@ class SpanLedger:
         self._retain_next = 1
 
     # -- request lifecycle ---------------------------------------------------
-
-    def prepare_cores(self, core_ids) -> None:
-        """Pre-create the per-core segment stats.
-
-        Per-core stats are otherwise created lazily at a core's first
-        request completion -- but :class:`ProbeSet` window activation
-        toggles only the stats that exist at window start, so a core
-        whose first completion lands *inside* the measurement window
-        would aggregate into never-activated (lifetime-only) stats and
-        silently disagree with the global table.  The harness calls
-        this at install time with every configured core.
-        """
-        for core_id in core_ids:
-            if core_id not in self._per_core:
-                self._per_core[core_id] = _SegmentStats(
-                    self.probes, f"span-core{core_id}"
-                )
 
     def open(self, key: int, core_id: int, tick: int) -> RequestSpan:
         """Start a span at arrival injection (opens ``queue``)."""
@@ -374,12 +348,8 @@ class SpanLedger:
         it fails only if the aggregation itself loses or double-counts
         a request.
         """
-        windowed = self.probes is not None
-        sojourn_count, sojourn_total = _stat_view(self.sojourn, windowed)
-        segments_total = sum(
-            _stat_view(stat, windowed)[1]
-            for stat in self._segments.stats.values()
-        )
+        sojourn_count, sojourn_total = self.sojourn.count, self.sojourn.total
+        segments_total = sum(stat.total for stat in self._segments.stats.values())
         if segments_total != sojourn_total:
             raise SpanConservationError(
                 f"aggregate conservation violated: segment stats sum to "
@@ -388,13 +358,13 @@ class SpanLedger:
             )
         table = {
             "requests": sojourn_count,
-            "sojourn": self._render_stat(self.sojourn, sojourn_total, windowed),
+            "sojourn": self._render_stat(self.sojourn, sojourn_total),
             "segments": {
-                name: self._render_stat(stat, sojourn_total, windowed)
+                name: self._render_stat(stat, sojourn_total)
                 for name, stat in self._segments.stats.items()
             },
             "per_core": {
-                f"core{core_id}": self._render_scope(per_core, windowed)
+                f"core{core_id}": self._render_scope(per_core)
                 for core_id, per_core in sorted(self._per_core.items())
             },
             "conservation": {
@@ -411,22 +381,20 @@ class SpanLedger:
         return table
 
     @classmethod
-    def _render_scope(cls, scope: _SegmentStats, windowed: bool) -> dict:
+    def _render_scope(cls, scope: _SegmentStats) -> dict:
         """Render one core's segment stats.  The denominator is the
         core's own sojourn time (= the sum of its segment totals, by
         conservation), so each core's shares sum to 1 and cores with
         different loads stay comparable."""
-        core_total = sum(
-            _stat_view(stat, windowed)[1] for stat in scope.stats.values()
-        )
+        core_total = sum(stat.total for stat in scope.stats.values())
         return {
-            name: cls._render_stat(stat, core_total, windowed)
+            name: cls._render_stat(stat, core_total)
             for name, stat in scope.stats.items()
         }
 
     @staticmethod
-    def _render_stat(stat: LatencyStat, sojourn_total: int, windowed: bool) -> dict:
-        count, total = _stat_view(stat, windowed)
+    def _render_stat(stat: LatencyStat, sojourn_total: int) -> dict:
+        count, total = stat.count, stat.total
         mean = total / count if count else 0.0
         return {
             "count": count,

@@ -1,10 +1,12 @@
 """Instrumentation helpers: counters, time-weighted stats, histograms.
 
 The experiment harness measures "work IPC" over a steady-state window
-(section IV-C of the paper).  These probes support windowed counting:
-a probe accumulates only while :attr:`active`; the harness toggles the
-flag at simulated times, so activation is exact with respect to event
-order.
+(section IV-C of the paper).  The window is one rule: the probes in a
+:class:`ProbeSet` count from construction, and the harness calls
+:meth:`ProbeSet.reset` when the window opens, at a simulated time, so
+every probe in the set then describes the window alone, exactly with
+respect to event order.  Probes a component owns outside any set count
+from construction.
 """
 
 from __future__ import annotations
@@ -17,26 +19,22 @@ __all__ = ["Counter", "TimeWeighted", "LatencyStat", "ProbeSet"]
 
 
 class Counter:
-    """A windowed event counter (e.g. retired work instructions)."""
+    """An event counter (e.g. retired work instructions)."""
 
-    __slots__ = ("name", "total", "windowed", "active")
+    __slots__ = ("name", "total")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.total = 0
-        self.windowed = 0
-        self.active = False
 
     def add(self, amount: int = 1) -> None:
         self.total += amount
-        if self.active:
-            self.windowed += amount
 
-    def reset_window(self) -> None:
-        self.windowed = 0
+    def reset(self) -> None:
+        self.total = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Counter {self.name} total={self.total} window={self.windowed}>"
+        return f"<Counter {self.name} total={self.total}>"
 
 
 class TimeWeighted:
@@ -82,22 +80,14 @@ class TimeWeighted:
 class LatencyStat:
     """Streaming min/mean/max/percentile tracker for latencies.
 
-    Like :class:`Counter`, the stat keeps a windowed sub-aggregate
-    (count/total/sum-of-squares/min/max *and* a sample reservoir)
-    accumulated only while :attr:`active`, so the steady-state
-    measurement window excludes warmup latencies.  :meth:`percentile`
-    is window-aware: once a measurement window has recorded samples it
-    reports from the windowed reservoir, so tail percentiles (p99,
-    p999) are never polluted by warmup observations; probes that never
-    activate a window keep reporting lifetime percentiles.
+    Keeps the moments (count, total, sum of squares, min, max) and a
+    stride-subsampled sample reservoir of every observation since
+    construction or the last :meth:`reset`.
     """
 
     __slots__ = ("name", "count", "total", "total_sq",
                  "minimum", "maximum",
-                 "_samples", "_stride", "_next_sample", "active",
-                 "windowed_count", "windowed_total", "windowed_total_sq",
-                 "windowed_min", "windowed_max",
-                 "_windowed_samples", "_windowed_stride", "_windowed_next")
+                 "_samples", "_stride", "_next_sample")
 
     #: Cap on retained samples; beyond it we subsample deterministically.
     #: Must stay even: subsampling keeps even indices, and the proof
@@ -107,6 +97,9 @@ class LatencyStat:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
+        self.reset()
+
+    def reset(self) -> None:
         self.count = 0
         self.total = 0
         self.total_sq = 0
@@ -120,19 +113,6 @@ class LatencyStat:
         #: and after halving, the freshly appended sample (an even
         #: index, hence kept) re-anchors the sequence.
         self._next_sample = 1
-        self.active = False
-        self.windowed_count = 0
-        self.windowed_total = 0
-        self.windowed_total_sq = 0
-        self.windowed_min: Optional[int] = None
-        self.windowed_max: Optional[int] = None
-        #: Windowed sample reservoir, maintained with the same
-        #: deterministic stride subsampling as the lifetime one but
-        #: keyed on the *windowed* count, so the retained population is
-        #: exactly the measurement window's observations.
-        self._windowed_samples: list[int] = []
-        self._windowed_stride = 1
-        self._windowed_next = 1
 
     def record(self, value: int) -> None:
         self.count += 1
@@ -142,22 +122,6 @@ class LatencyStat:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
-        if self.active:
-            self.windowed_count += 1
-            self.windowed_total += value
-            self.windowed_total_sq += value * value
-            if self.windowed_min is None or value < self.windowed_min:
-                self.windowed_min = value
-            if self.windowed_max is None or value > self.windowed_max:
-                self.windowed_max = value
-            if self.windowed_count == self._windowed_next:
-                self._windowed_samples.append(value)
-                if len(self._windowed_samples) > self.MAX_SAMPLES:
-                    self._windowed_samples = self._windowed_samples[::2]
-                    self._windowed_stride *= 2
-                self._windowed_next = (
-                    self.windowed_count + self._windowed_stride
-                )
         if self.count == self._next_sample:
             self._samples.append(value)
             if len(self._samples) > self.MAX_SAMPLES:
@@ -174,61 +138,18 @@ class LatencyStat:
         return self.total / self.count if self.count else math.nan
 
     @property
-    def windowed_mean(self) -> float:
-        if not self.windowed_count:
-            return math.nan
-        return self.windowed_total / self.windowed_count
-
-    @property
     def jitter(self) -> float:
-        """Latency jitter (population standard deviation), window-aware:
-        computed over the measurement window once one has recorded
-        observations, else over the lifetime population."""
-        if self.windowed_count:
-            count, total, total_sq = (
-                self.windowed_count, self.windowed_total,
-                self.windowed_total_sq,
-            )
-        elif self.count:
-            count, total, total_sq = self.count, self.total, self.total_sq
-        else:
+        """Latency jitter: the population standard deviation."""
+        count = self.count
+        if not count:
             return math.nan
-        mean = total / count
+        mean = self.total / count
         # Clamp: catastrophic cancellation can leave a tiny negative.
-        return math.sqrt(max(0.0, total_sq / count - mean * mean))
-
-    def reset_window(self) -> None:
-        self.windowed_count = 0
-        self.windowed_total = 0
-        self.windowed_total_sq = 0
-        self.windowed_min = None
-        self.windowed_max = None
-        self._windowed_samples = []
-        self._windowed_stride = 1
-        self._windowed_next = 1
+        return math.sqrt(max(0.0, self.total_sq / count - mean * mean))
 
     def percentile(self, p: float) -> float:
-        """Approximate percentile ``p`` in [0, 100], window-aware.
-
-        Reported from the windowed reservoir once the measurement
-        window has recorded samples (warmup excluded), else from the
-        lifetime reservoir.  The old behavior -- always reporting from
-        the lifetime reservoir, which fills during warmup even though
-        the windowed count/total/min/max respect :attr:`active` --
-        silently polluted every reported p50/p99 with warmup latencies.
-        """
-        if self.windowed_count:
-            return self.windowed_percentile(p)
-        return self.lifetime_percentile(p)
-
-    def lifetime_percentile(self, p: float) -> float:
-        """Percentile over every recorded observation, warmup included."""
+        """Approximate percentile ``p`` in [0, 100] (NaN when empty)."""
         return percentile_of_sorted(sorted(self._samples), p)
-
-    def windowed_percentile(self, p: float) -> float:
-        """Percentile over the measurement window only (NaN before any
-        windowed observation)."""
-        return percentile_of_sorted(sorted(self._windowed_samples), p)
 
 
 @dataclass
@@ -237,7 +158,6 @@ class ProbeSet:
 
     counters: dict[str, Counter] = field(default_factory=dict)
     latencies: dict[str, LatencyStat] = field(default_factory=dict)
-    weighted: dict[str, TimeWeighted] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
         if name not in self.counters:
@@ -249,23 +169,12 @@ class ProbeSet:
             self.latencies[name] = LatencyStat(name)
         return self.latencies[name]
 
-    def time_weighted(self, name: str) -> TimeWeighted:
-        if name not in self.weighted:
-            self.weighted[name] = TimeWeighted(name)
-        return self.weighted[name]
-
-    def set_window_active(self, active: bool) -> None:
-        """Toggle windowed accumulation on every counter and latency stat."""
+    def reset(self) -> None:
+        """Zero every probe in the set (the measurement window opens)."""
         for counter in self.counters.values():
-            counter.active = active
+            counter.reset()
         for latency in self.latencies.values():
-            latency.active = active
-
-    def reset_windows(self) -> None:
-        for counter in self.counters.values():
-            counter.reset_window()
-        for latency in self.latencies.values():
-            latency.reset_window()
+            latency.reset()
 
 
 def percentile_of_sorted(ordered: list[int], p: float) -> float:

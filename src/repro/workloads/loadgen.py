@@ -42,6 +42,7 @@ from typing import Deque, Iterator, Optional
 from repro.errors import ConfigError
 from repro.host.system import System
 from repro.runtime.api import AccessContext
+from repro.sim.trace import TimeWeighted
 from repro.units import US
 from repro.workloads.hashing import hash_with_seed
 from repro.workloads.memcached import KvStore, MemcachedParams
@@ -297,7 +298,8 @@ class ServiceState:
         self.queue_wait = probes.latency("service-wait")
         self.arrivals = probes.counter("service-arrivals")
         self.completions = probes.counter("service-completions")
-        self.queue_depth = probes.time_weighted("service-queue-depth")
+        #: Host-queue depth over the whole run, warmup included.
+        self.queue_depth = TimeWeighted("service-queue-depth")
         self.queues: list[Deque[Request]] = [
             deque() for _ in range(system.logical_cores)
         ]

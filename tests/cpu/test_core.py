@@ -43,7 +43,6 @@ def build_core(
         sim, 0, CacheConfig(), lfb, uncore, config.frequency
     )
     work = Counter("work")
-    work.active = True
     core = OutOfOrderCore(sim, 0, config, memsys, work)
     return core, target, memory
 

@@ -195,7 +195,6 @@ def test_exception_while_awaiting_grant_releases_iff_granted():
 def test_work_counter_shared_across_cores():
     sim = Simulator()
     shared = Counter("work")
-    shared.active = True
     cores = []
     for core_id in range(2):
         config = CpuConfig(frequency_ghz=1.0)

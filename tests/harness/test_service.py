@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import (
     AccessMechanism,
+    CpuConfig,
     DeviceConfig,
     SwqConfig,
     SystemConfig,
@@ -69,10 +70,11 @@ def test_run_service_seed_changes_results():
 
 
 def test_service_percentiles_exclude_warmup():
-    # Drive the service directly so we can see both views of the
-    # sojourn probe: the lifetime reservoir (includes warmup) and the
-    # windowed reservoir the harness reports from.
+    # Drive the service directly so the sojourn probe can be checked
+    # against every request the run completed: it must hold exactly
+    # the requests that finished after the window opened.
     from repro.host.system import System
+    from repro.sim.trace import percentile_of_sorted
     from repro.workloads.loadgen import install_service
 
     params = service_params(rate=0.3)
@@ -85,16 +87,23 @@ def test_service_percentiles_exclude_warmup():
     # warmup must be long enough for warmup-era completions to exist.
     window = MeasureWindow(warmup_us=40.0, measure_us=60.0)
     system.run_window(window.warmup_ticks, window.measure_ticks)
-    sojourn = state.sojourn
-    # Warmup completed requests too, so the lifetime population is
-    # strictly larger than the windowed one ...
-    assert sojourn.count > sojourn.windowed_count > 0
-    # ... and the default percentile() reports the windowed view.
-    assert sojourn.percentile(99) == sojourn.windowed_percentile(99)
-    # Offered load arrived open-loop at ~0.3/us over the 60 us window.
-    assert state.arrivals.windowed == pytest.approx(
-        0.3 * 60.0, rel=0.35
+    # Events at the warmup's last tick still belong to the warmup.
+    in_window = [
+        request for request in state.completed
+        if request.finished_at > window.warmup_ticks
+    ]
+    # Warmup completed requests too, so the window holds strictly fewer.
+    assert 0 < len(in_window) < len(state.completed)
+    sojourns = sorted(
+        request.finished_at - request.arrived_at for request in in_window
     )
+    sojourn = state.sojourn
+    assert sojourn.count == state.completions.total == len(in_window)
+    assert sojourn.total == sum(sojourns)
+    assert sojourn.maximum == sojourns[-1]
+    assert sojourn.percentile(99) == percentile_of_sorted(sojourns, 99)
+    # Offered load arrived open-loop at ~0.3/us over the 60 us window.
+    assert state.arrivals.total == pytest.approx(0.3 * 60.0, rel=0.35)
 
 
 def test_open_loop_reveals_saturation():
@@ -284,6 +293,32 @@ def test_spans_clean_under_invariant_monitor():
     # monitor's periodic sweeps (span bookkeeping included) all passed.
     assert result.report["invariants"]["checks_run"] > 0
     assert result.attribution["requests"] == result.completions
+
+
+def test_smt_core_first_seen_in_the_window_is_attributed():
+    # With a 1 us warmup, logical core 1's first completion lands inside
+    # the window, so its per-core stats are created there; they must
+    # still count every request it served in the window.
+    config = SystemConfig(
+        mechanism=AccessMechanism.SOFTWARE_QUEUE,
+        cores=1,
+        threads_per_core=4,
+        cpu=CpuConfig(smt_contexts=2),
+        device=DeviceConfig(total_latency_us=1.0),
+    )
+    params = service_params(spans=True, workers_per_core=4)
+    result = run_service(
+        config, params, MeasureWindow(warmup_us=1.0, measure_us=100.0)
+    )
+    attribution = result.attribution
+    counts = {
+        core: rows["queue"]["count"]
+        for core, rows in attribution["per_core"].items()
+    }
+    assert set(counts) == {"core0", "core1"}
+    assert counts["core0"] > 0 and counts["core1"] > 0
+    assert sum(counts.values()) == attribution["requests"]
+    assert attribution["requests"] == result.completions
 
 
 def test_spans_deterministic_across_runs():

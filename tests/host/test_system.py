@@ -150,12 +150,13 @@ def test_chip_queue_config_respected():
 
 
 def test_latency_report_prefers_measurement_window():
-    from repro.sim.trace import LatencyStat
+    from repro.sim.trace import ProbeSet
 
-    stat = LatencyStat("sojourn")
+    probes = ProbeSet()
+    stat = probes.latency("sojourn")
     for _ in range(10):
         stat.record(1_000_000)  # warmup pollution
-    stat.active = True
+    probes.reset()  # the window opens
     for value in (100, 200, 300, 400):
         stat.record(value)
     report = System._latency_report(stat)

@@ -25,9 +25,7 @@ def test_registers_all_probe_kinds_and_snapshots():
     registry.register("core0.lfb.in_flight", lambda: 7)
 
     snapshot = registry.snapshot(now=100)
-    assert snapshot["core0.instructions"] == {
-        "type": "counter", "total": 5, "windowed": 0,
-    }
+    assert snapshot["core0.instructions"] == {"type": "counter", "total": 5}
     assert snapshot["core0.fill_latency"]["count"] == 2
     assert snapshot["core0.fill_latency"]["mean"] == pytest.approx(200)
     assert snapshot["pcie.upstream.util"]["mean"] == pytest.approx(0.5)

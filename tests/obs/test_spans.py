@@ -217,24 +217,24 @@ def test_reset_window_drops_warmup_exemplars_only():
 def test_windowed_probes_exclude_warmup_from_attribution():
     probes = ProbeSet()
     ledger = SpanLedger(probes)
-    ledger.prepare_cores([0])
     _closed(ledger, key=1, arrive=0, finish=10_000)  # warmup outlier
-    probes.set_window_active(True)
+    probes.reset()  # the window opens
     _closed(ledger, key=2, arrive=0, marks=[("work", 30)], finish=50)
     _closed(ledger, key=3, arrive=0, marks=[("work", 10)], finish=50)
-    probes.set_window_active(False)
     table = ledger.attribution()
     assert table["requests"] == 2
     assert table["conservation"]["sojourn_ticks"] == 100
+    core0 = table["per_core"]["core0"]
+    assert sum(row["total_ns"] for row in core0.values()) == pytest.approx(
+        table["sojourn"]["total_ns"]
+    )
 
 
 def test_windowed_ledger_reports_an_empty_window_as_zero_requests():
     probes = ProbeSet()
     ledger = SpanLedger(probes)
-    ledger.prepare_cores([0])
     _closed(ledger, key=1, arrive=0, finish=10_000)  # warmup only
-    probes.set_window_active(True)
-    probes.set_window_active(False)
+    probes.reset()  # the window opens and sees no completion
     table = ledger.attribution()
     assert table["requests"] == 0
     assert table["sojourn"]["count"] == 0
@@ -246,24 +246,6 @@ def test_standalone_ledger_reports_lifetime_counts():
     ledger = SpanLedger()
     _closed(ledger, key=1, arrive=0, finish=40)
     assert ledger.attribution()["requests"] == 1
-
-
-def test_prepare_cores_preactivates_per_core_stats():
-    probes = ProbeSet()
-    ledger = SpanLedger(probes)
-    ledger.prepare_cores([0, 1])
-    probes.set_window_active(True)
-    # core 1's first completion lands inside the window; without
-    # prepare_cores its stats would have missed activation and the
-    # per-core table would silently disagree with the global one.
-    _closed(ledger, key=1, core=1, arrive=0, finish=40)
-    probes.set_window_active(False)
-    table = ledger.attribution()
-    core1 = table["per_core"]["core1"]
-    assert sum(r["count"] for r in core1.values()) > 0
-    assert sum(r["total_ns"] for r in core1.values()) == pytest.approx(
-        table["sojourn"]["total_ns"]
-    )
 
 
 def test_register_metrics_exposes_ledger_probes():

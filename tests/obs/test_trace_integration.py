@@ -9,6 +9,7 @@ from repro.harness.experiment import MeasureWindow, run_microbench
 from repro.harness.sweep import SweepEngine, SweepJob
 from repro.obs import TraceConfig, Tracer
 from repro.obs.validate import validate_trace
+from repro.units import to_ns
 from repro.workloads.microbench import MicrobenchSpec
 
 TINY = MeasureWindow(warmup_us=2.0, measure_us=8.0)
@@ -68,6 +69,20 @@ def test_system_metrics_snapshot_covers_every_layer():
     assert metrics["work"]["total"] > 0
     # The snapshot round-trips as strict JSON (CI consumes it).
     json.dumps(metrics, allow_nan=False)
+
+
+def test_registry_latency_rows_cover_the_measurement_window():
+    # The registry row and the report describe one population: the
+    # accesses since the window opened, warmup excluded from every field.
+    result = run_microbench(
+        _config(), MicrobenchSpec(work_count=100), TINY, collect_metrics=True
+    )
+    row = result.report["metrics"]["access_latency"]
+    report = result.report["access_latency_ns"]
+    assert row["count"] == report["count"] > 0
+    assert to_ns(row["mean"]) == report["mean"]
+    assert to_ns(row["max"]) == report["max"]
+    assert to_ns(row["p99"]) == report["p99"]
 
 
 def test_sweep_metrics_use_a_disjoint_cache_keyspace(tmp_path):

@@ -166,7 +166,6 @@ def test_local_work_not_counted_as_work():
             return None
         return body()
 
-    system.work_counter.active = True
     run_thread(system, factory)
     system.sim.run()
     assert system.work_counter.total == 32

@@ -13,16 +13,13 @@ from repro.sim.trace import (
 
 def test_counter_windowing():
     counter = Counter("c")
-    counter.add(5)
-    counter.active = True
+    counter.add(5)  # warmup
+    counter.reset()  # the window opens
     counter.add(3)
     counter.add(2)
-    counter.active = False
-    counter.add(7)
-    assert counter.total == 17
-    assert counter.windowed == 5
-    counter.reset_window()
-    assert counter.windowed == 0
+    assert counter.total == 5
+    counter.reset()
+    assert counter.total == 0
 
 
 def test_time_weighted_mean_and_max():
@@ -108,17 +105,16 @@ def test_latency_stat_window_excludes_warmup():
     probes = ProbeSet()
     stat = probes.latency("lat")
     stat.record(1_000_000)  # warmup sample: huge, must not pollute
-    probes.set_window_active(True)
+    probes.reset()  # the window opens
     stat.record(10)
     stat.record(20)
-    probes.set_window_active(False)
-    stat.record(2_000_000)  # cooldown sample
-    assert stat.count == 4
-    assert stat.windowed_count == 2
-    assert stat.windowed_mean == pytest.approx(15)
-    probes.reset_windows()
-    assert stat.windowed_count == 0
-    assert math.isnan(stat.windowed_mean)
+    assert stat.count == 2
+    assert stat.mean == pytest.approx(15)
+    assert stat.minimum == 10 and stat.maximum == 20
+    probes.reset()
+    assert stat.count == 0
+    assert math.isnan(stat.mean)
+    assert stat.minimum is None and stat.maximum is None
 
 
 def test_latency_stat_subsamples_beyond_cap():
@@ -137,103 +133,68 @@ def test_probe_set_dedupes_by_name():
     probes = ProbeSet()
     assert probes.counter("a") is probes.counter("a")
     assert probes.latency("l") is probes.latency("l")
-    assert probes.time_weighted("w") is probes.time_weighted("w")
 
 
 def test_probe_set_window_toggle():
     probes = ProbeSet()
     first = probes.counter("x")
     second = probes.counter("y")
-    probes.set_window_active(True)
+    first.add(7)  # warmup
+    probes.reset()  # the window opens: every probe in the set restarts
     first.add(1)
     second.add(2)
-    probes.set_window_active(False)
-    first.add(1)
-    assert first.windowed == 1 and second.windowed == 2
-    probes.reset_windows()
-    assert first.windowed == 0
+    assert first.total == 1 and second.total == 2
+    probes.reset()
+    assert first.total == 0 and second.total == 0
 
 
 def test_latency_stat_windowed_percentile_excludes_warmup():
-    # Regression: percentile() used the lifetime reservoir even inside
-    # a measurement window, so warmup outliers polluted every reported
-    # tail (p99 of a 40us-warmup run could be a warmup-era sample).
+    # Regression: percentile() once read a reservoir filled during
+    # warmup, so warmup outliers polluted every reported tail (p99 of a
+    # 40us-warmup run could be a warmup-era sample).
     probes = ProbeSet()
     stat = probes.latency("lat")
     for _ in range(100):
         stat.record(1_000_000)  # warmup: pathological queueing
-    probes.set_window_active(True)
+    probes.reset()  # the window opens
     for value in range(1, 101):
         stat.record(value)
-    probes.set_window_active(False)
-    # Window-aware default: all quantiles come from windowed samples.
+    # Every quantile, and the max, come from the window's samples.
     assert stat.percentile(50) == pytest.approx(50.5)
     assert stat.percentile(99) <= 100
-    assert stat.windowed_percentile(99) <= 100
-    # The lifetime view still sees the warmup mass.
-    assert stat.lifetime_percentile(99) == 1_000_000
-    assert stat.maximum == 1_000_000
-    assert stat.windowed_max == 100
-
-
-def test_latency_stat_percentile_falls_back_to_lifetime():
-    # With no window ever active, percentile() behaves as before.
-    stat = LatencyStat("lat")
-    for value in (10, 20, 30, 40):
-        stat.record(value)
-    assert stat.windowed_count == 0
-    assert stat.percentile(50) == pytest.approx(25)
-    import math
-
-    assert math.isnan(stat.windowed_percentile(50))
-
-
-def test_latency_stat_windowed_reservoir_subsamples():
-    probes = ProbeSet()
-    stat = probes.latency("lat")
-    probes.set_window_active(True)
-    n = LatencyStat.MAX_SAMPLES * 2 + 100
-    for value in range(n):
-        stat.record(value)
-    probes.set_window_active(False)
-    assert len(stat._windowed_samples) <= LatencyStat.MAX_SAMPLES + 1
-    assert stat.percentile(50) == pytest.approx(n / 2, rel=0.02)
+    assert stat.percentile(100) == stat.maximum == 100
 
 
 def test_latency_stat_window_reset_clears_reservoir():
     probes = ProbeSet()
     stat = probes.latency("lat")
-    probes.set_window_active(True)
-    stat.record(7)
-    probes.set_window_active(False)
-    assert stat.windowed_count == 1
-    probes.reset_windows()
-    assert stat.windowed_count == 0
-    assert stat._windowed_samples == []
-    # A fresh window starts sampling from its first observation.
-    probes.set_window_active(True)
+    for value in range(LatencyStat.MAX_SAMPLES + 1):
+        stat.record(value)  # warmup long enough to subsample
+    assert stat._stride == 2
+    probes.reset()
+    assert stat.count == 0
+    assert stat._samples == []
+    # A fresh window samples every observation from its first one.
     stat.record(42)
-    probes.set_window_active(False)
-    assert stat.percentile(50) == 42
+    stat.record(43)
+    assert stat._samples == [42, 43]
+    assert stat.percentile(0) == 42 and stat.percentile(100) == 43
 
 
 def test_latency_stat_jitter_is_windowed_stddev():
+    import math
     import statistics
 
     probes = ProbeSet()
     stat = probes.latency("lat")
     stat.record(10_000)  # warmup noise must not enter jitter
-    probes.set_window_active(True)
+    probes.reset()  # the window opens
     values = [10, 20, 30, 40, 50]
     for value in values:
         stat.record(value)
-    probes.set_window_active(False)
     assert stat.jitter == pytest.approx(statistics.pstdev(values))
-    # Without a window, jitter falls back to the lifetime population.
-    lifetime = LatencyStat("lat2")
-    for value in values:
-        lifetime.record(value)
-    assert lifetime.jitter == pytest.approx(statistics.pstdev(values))
+    probes.reset()
+    assert math.isnan(stat.jitter)
 
 
 def test_percentile_of_sorted_reference():
@@ -277,38 +238,29 @@ def test_latency_stat_percentile_empty_is_nan():
 
     stat = LatencyStat("empty")
     assert math.isnan(stat.percentile(50))
-    assert math.isnan(stat.lifetime_percentile(99))
-    assert math.isnan(stat.windowed_percentile(99))
+    assert math.isnan(stat.percentile(99))
+    assert math.isnan(stat.jitter)
 
 
 def test_latency_stat_windowed_percentile_nan_before_window_samples():
     import math
 
-    stat = LatencyStat("warming")
+    probes = ProbeSet()
+    stat = probes.latency("warming")
     stat.record(100)  # warmup only
-    assert math.isnan(stat.windowed_percentile(50))
-    # ...but the window-aware accessor falls back to lifetime.
+    # Before the window opens the stat holds every sample so far ...
     assert stat.percentile(50) == 100.0
+    probes.reset()
+    # ... and a window with no sample yet reports NaN, not warmup.
+    assert math.isnan(stat.percentile(50))
+    assert math.isnan(stat.mean)
 
 
 def test_latency_stat_percentile_clamps_extreme_p():
     stat = LatencyStat("clamp")
-    stat.active = True
     for value in (10, 20, 30, 40):
         stat.record(value)
     assert stat.percentile(-10) == 10.0
     assert stat.percentile(0) == 10.0
     assert stat.percentile(100) == 40.0
     assert stat.percentile(999) == 40.0
-
-
-def test_latency_stat_switches_to_window_on_first_windowed_sample():
-    stat = LatencyStat("switch")
-    for _ in range(50):
-        stat.record(1_000_000)  # warmup pollution
-    stat.active = True
-    stat.record(10)
-    # One windowed observation flips every percentile to the window.
-    assert stat.percentile(50) == 10.0
-    assert stat.percentile(99.9) == 10.0
-    assert stat.lifetime_percentile(50) == 1_000_000.0

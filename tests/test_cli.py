@@ -535,3 +535,18 @@ def test_interrupt_hint_names_the_environment_queue(monkeypatch, tmp_path):
     # The queue came from the environment, not a flag: the resume hint
     # must still point at it.
     assert f"--queue {tmp_path / 'queue'}" in text
+
+
+def test_run_command_pcie_rate_fits_the_link():
+    # The link counts wire bytes from time zero: dividing them by the
+    # measurement window alone printed more than the 4 GB/s link.
+    code, text = run_cli(
+        "run", "--mechanism", "software-queue", "--threads", "24",
+        "--cores", "8", "--warmup-us", "10", "--measure-us", "40",
+    )
+    assert code == 0
+    line = next(
+        line for line in text.splitlines() if line.startswith("PCIe upstream")
+    )
+    assert float(line.split(":")[1].split()[0]) <= 4.00
+    assert "(whole run)" in line

@@ -1,6 +1,6 @@
 """Every example script must at least parse, import-check, and expose
-a ``main()`` (full executions are exercised manually / in CI's slow
-lane; simulating them all would dominate the unit suite)."""
+a ``main()`` (CI's ``examples`` job runs each script to the end;
+simulating them all would dominate the unit suite)."""
 
 import ast
 import pathlib

@@ -75,7 +75,6 @@ def test_work_counter_counts_only_work_instructions():
     system = System(config)
     spec = MicrobenchSpec(work_count=128, iterations=4)
     install_microbench(system, spec, threads_per_core=1)
-    system.work_counter.active = True
     system.run_to_completion(limit_ticks=10**10)
     system.sim.run()
     assert system.work_counter.total == 128 * 4
