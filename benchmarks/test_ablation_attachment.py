@@ -6,8 +6,6 @@ latency devices on the memory interconnect in conjunction with larger
 per-core LFB queues may be a step in the right direction."
 """
 
-import pytest
-
 from repro.config import (
     AccessMechanism,
     CpuConfig,
@@ -16,8 +14,9 @@ from repro.config import (
     SystemConfig,
     UncoreConfig,
 )
-from repro.harness.experiment import MeasureWindow, normalized_microbench
+from repro.harness.experiment import MeasureWindow
 from repro.harness.figures import FigureResult
+from repro.harness.sweep import SweepJob, normalized
 from repro.workloads.microbench import MicrobenchSpec
 
 WINDOW = MeasureWindow(warmup_us=40.0, measure_us=120.0)
@@ -33,7 +32,7 @@ def run_point(attachment, cores, lfbs, threads, bus_queue=48):
         uncore=UncoreConfig(dram_queue_entries=bus_queue),
         device=DeviceConfig(total_latency_us=1.0, attachment=attachment),
     )
-    value, _ = normalized_microbench(config, SPEC, WINDOW)
+    value, _ = normalized(SweepJob(config=config, spec=SPEC, window=WINDOW))
     return value
 
 

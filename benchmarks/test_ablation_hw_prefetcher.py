@@ -13,15 +13,12 @@ software prefetch mechanism."  Measured here:
   never trains and stays silent.
 """
 
-import pytest
-
 from repro.config import AccessMechanism, CpuConfig, DeviceConfig, SystemConfig
 from repro.harness.experiment import MeasureWindow, run_microbench
 from repro.harness.figures import FigureResult
 from repro.host.system import System
-from repro.units import us
 from repro.workloads.bloom import BloomParams, install_bloom
-from repro.workloads.microbench import MicrobenchSpec, install_microbench
+from repro.workloads.microbench import MicrobenchSpec
 
 WINDOW = MeasureWindow(warmup_us=30.0, measure_us=100.0)
 
@@ -33,7 +30,7 @@ def run_mechanism(mechanism, threads, hw_prefetch):
         cpu=CpuConfig(hardware_prefetcher=hw_prefetch),
         device=DeviceConfig(total_latency_us=1.0),
     )
-    return run_microbench(config, MicrobenchSpec(work_count=200), WINDOW).work_ipc
+    return run_microbench(config, MicrobenchSpec(work_count=200), WINDOW).payload["work_ipc"]
 
 
 def bloom_coverage():

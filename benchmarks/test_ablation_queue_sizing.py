@@ -7,8 +7,6 @@ in-microseconds parallel accesses.  Chip-level shared queues should
 support 20 x latency x cores-per-chip."
 """
 
-import pytest
-
 from repro.config import (
     AccessMechanism,
     CpuConfig,
@@ -16,8 +14,9 @@ from repro.config import (
     SystemConfig,
     UncoreConfig,
 )
-from repro.harness.experiment import MeasureWindow, normalized_microbench
+from repro.harness.experiment import MeasureWindow
 from repro.harness.figures import FigureResult
+from repro.harness.sweep import SweepJob, normalized
 from repro.workloads.microbench import MicrobenchSpec
 
 WINDOW = MeasureWindow(warmup_us=40.0, measure_us=120.0)
@@ -33,7 +32,7 @@ def run_point(lfbs, chip_queue, threads, latency_us, cores=1):
         uncore=UncoreConfig(pcie_queue_entries=chip_queue),
         device=DeviceConfig(total_latency_us=latency_us),
     )
-    value, _ = normalized_microbench(config, SPEC, WINDOW)
+    value, _ = normalized(SweepJob(config=config, spec=SPEC, window=WINDOW))
     return value
 
 

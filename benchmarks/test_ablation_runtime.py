@@ -21,8 +21,9 @@ from repro.config import (
     SystemConfig,
     ThreadingConfig,
 )
-from repro.harness.experiment import MeasureWindow, normalized_microbench
+from repro.harness.experiment import MeasureWindow
 from repro.harness.figures import FigureResult
+from repro.harness.sweep import SweepJob, normalized
 from repro.workloads.microbench import MicrobenchSpec
 
 WINDOW = MeasureWindow(warmup_us=40.0, measure_us=120.0)
@@ -46,7 +47,7 @@ def sweep_switch_cost(scale):
                 threading=ThreadingConfig(context_switch_ns=switch_ns),
                 device=DeviceConfig(total_latency_us=1.0),
             )
-            value, _ = normalized_microbench(config, SPEC, WINDOW)
+            value, _ = normalized(SweepJob(config=config, spec=SPEC, window=WINDOW))
             line.add(threads, value)
     return figure
 
@@ -81,7 +82,7 @@ def sweep_kernel_queue(scale):
                 threads_per_core=threads,
                 device=DeviceConfig(total_latency_us=1.0),
             )
-            value, _ = normalized_microbench(config, SPEC, WINDOW)
+            value, _ = normalized(SweepJob(config=config, spec=SPEC, window=WINDOW))
             line.add(threads, value)
     return figure
 
@@ -111,7 +112,7 @@ def sweep_prefetch_policy(scale):
                 cpu=CpuConfig(prefetch_drop_when_full=drop),
                 device=DeviceConfig(total_latency_us=1.0),
             )
-            value, _ = normalized_microbench(config, SPEC, WINDOW)
+            value, _ = normalized(SweepJob(config=config, spec=SPEC, window=WINDOW))
             line.add(threads, value)
     return figure
 

@@ -30,7 +30,7 @@ def run_smt(contexts, mechanism=AccessMechanism.ON_DEMAND, threads=1):
         cpu=CpuConfig(smt_contexts=contexts),
         device=DeviceConfig(total_latency_us=1.0),
     )
-    return run_microbench(config, SPEC, WINDOW).work_ipc
+    return run_microbench(config, SPEC, WINDOW).payload["work_ipc"]
 
 
 def sweep(scale):

@@ -6,16 +6,15 @@ design ... we experimented with mechanisms lacking one or both of
 these optimizations and found them to be strictly inferior."
 """
 
-import pytest
-
 from repro.config import (
     AccessMechanism,
     DeviceConfig,
     SwqConfig,
     SystemConfig,
 )
-from repro.harness.experiment import MeasureWindow, normalized_microbench
+from repro.harness.experiment import MeasureWindow
 from repro.harness.figures import FigureResult
+from repro.harness.sweep import SweepJob, normalized
 from repro.workloads.microbench import MicrobenchSpec
 
 WINDOW = MeasureWindow(warmup_us=40.0, measure_us=120.0)
@@ -46,7 +45,7 @@ def sweep(scale):
                 device=DeviceConfig(total_latency_us=1.0),
                 swq=swq,
             )
-            value, _ = normalized_microbench(config, SPEC, WINDOW)
+            value, _ = normalized(SweepJob(config=config, spec=SPEC, window=WINDOW))
             line.add(threads, value)
     return figure
 

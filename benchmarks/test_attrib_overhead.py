@@ -15,15 +15,12 @@ Like ``test_obs_overhead.py``, absolute wall times are incomparable
 across machines, so the committed gates are the exact-equality
 passivity checks; the wall-ratio assertions are sanity bounds, with a
 tighter ratio enforced only under ``REPRO_KERNEL_BENCH_ENFORCE``.
-Helpers are duplicated rather than imported: ``benchmarks/`` is not a
-package.
+The timing helper comes from ``benchmarks/timing.py``.
 """
 
 import json
 import os
 import pathlib
-import statistics
-import time
 
 from repro.config import (
     AccessMechanism,
@@ -34,13 +31,14 @@ from repro.config import (
 from repro.harness.experiment import MeasureWindow
 from repro.harness.figures import fig3
 from repro.harness.regression import figure_to_dict
-from repro.harness.service import ServiceParams, run_service
-from repro.harness.sweep import MODEL_VERSION, SweepEngine
+from repro.harness.service import ServiceParams
+from repro.harness.sweep import MODEL_VERSION, SweepEngine, SweepJob, run_job
 from repro.obs.runlog import git_sha
 from repro.obs.spans import PID_SPANS_TID, SEGMENTS, emit_exemplar_trace
 from repro.obs.tracer import TraceConfig, Tracer
 from repro.obs.validate import validate_trace
 from repro.workloads.loadgen import ArrivalSpec, KeySpec, OpenLoopSpec
+from timing import time_mode
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 GOLDEN_FIG3 = (
@@ -78,18 +76,9 @@ def _params(spans: bool) -> ServiceParams:
     )
 
 
-def _run_mode(spans: bool):
-    return run_service(_config(), _params(spans), WINDOW)
-
-
-def _time_mode(spans: bool, reps: int = 5):
-    walls = []
-    result = None
-    for _ in range(reps):
-        started = time.perf_counter()
-        result = _run_mode(spans)
-        walls.append(time.perf_counter() - started)
-    return statistics.median(walls), result
+def _run_mode(spans: bool) -> dict:
+    job = SweepJob(config=_config(), service=_params(spans), window=WINDOW)
+    return run_job(job).payload
 
 
 def test_attrib_overhead_writes_bench_json():
@@ -97,20 +86,20 @@ def test_attrib_overhead_writes_bench_json():
     must be deterministic and the on path model-passive."""
     _run_mode(True)  # warm both code paths before timing
 
-    wall_off, result_off = _time_mode(False)
-    wall_on, result_on = _time_mode(True)
+    wall_off, result_off = time_mode(lambda: _run_mode(False))
+    wall_on, result_on = time_mode(lambda: _run_mode(True))
 
     # Spans-off determinism: two runs, one payload.
-    assert result_off.payload() == _run_mode(False).payload()
-    assert result_off.attribution is None and result_off.exemplars is None
+    assert result_off == _run_mode(False)
+    assert "attribution" not in result_off and "exemplars" not in result_off
 
     # Model passivity: attribution observes the run, never steers it.
     # The spans-on payload minus its attribution block is bit-for-bit
-    # the spans-off payload.
-    payload_on = dict(result_on.payload())
+    # the spans-off payload, kernel counters included.
+    payload_on = dict(result_on)
     attribution = payload_on.pop("attribution")
     payload_on.pop("exemplars")
-    assert payload_on == result_off.payload()
+    assert payload_on == result_off
 
     # Conservation at aggregate: segments tile every sojourn exactly
     # (attribution() itself raises SpanConservationError otherwise).
@@ -120,8 +109,8 @@ def test_attrib_overhead_writes_bench_json():
     # Windowed populations line up: the attribution table covers
     # exactly the measurement window's completions (raw ``closed``
     # also counts post-window drain, so it can only be larger).
-    assert attribution["requests"] == result_on.completions
-    assert conservation["closed"] >= result_on.completions
+    assert attribution["requests"] == result_on["completions"]
+    assert conservation["closed"] >= result_on["completions"]
     assert set(attribution["segments"]) == set(SEGMENTS)
 
     payload = {
@@ -158,8 +147,7 @@ def test_attrib_overhead_writes_bench_json():
 def test_exemplar_trees_render_as_valid_chrome_trace():
     """The retained exemplars round-trip through JSON and render as
     validator-clean Chrome-trace async spans."""
-    result = _run_mode(True)
-    exemplars = json.loads(json.dumps(result.exemplars))
+    exemplars = json.loads(json.dumps(_run_mode(True)["exemplars"]))
     assert len(exemplars["slowest"]) >= 3
     assert set(exemplars["stratified"]) == {"p50", "p90", "p99"}
     for tree in exemplars["slowest"]:

@@ -12,8 +12,6 @@ nearly all of its read-only throughput, until the write rate runs into
 drain-path bandwidth.
 """
 
-import pytest
-
 from repro.config import AccessMechanism, DeviceConfig, SystemConfig
 from repro.harness.experiment import MeasureWindow, run_microbench
 from repro.harness.figures import FigureResult
@@ -42,7 +40,7 @@ def sweep(scale):
                 device=DeviceConfig(total_latency_us=1.0),
             )
             spec = MicrobenchSpec(work_count=200, writes_per_batch=writes)
-            line.add(writes, run_microbench(config, spec, WINDOW).work_ipc)
+            line.add(writes, run_microbench(config, spec, WINDOW).payload["work_ipc"])
     return figure
 
 

@@ -13,24 +13,21 @@ check re-runs the kernel-vs-frozen-reference event-loop speedup
 measurement (the ``event_loop`` entry of
 ``benchmarks/kernel_baseline.json``) with the observability modules
 imported, and requires it to stay within 2% of that baseline's
-enforced floor.  Helpers are duplicated from
-``test_simulator_throughput.py`` rather than imported: ``benchmarks/``
-is not a package, so cross-module imports there depend on pytest's
-sys.path mode.
+enforced floor.  The timing helpers come from ``benchmarks/timing.py``.
 """
 
 import json
 import os
 import pathlib
-import statistics
-import time
+from dataclasses import replace
 
-from repro.harness.experiment import MeasureWindow, run_microbench
-from repro.harness.sweep import MODEL_VERSION
+from repro.harness.experiment import MeasureWindow
+from repro.harness.sweep import MODEL_VERSION, run_job
 from repro.obs.runlog import git_sha
 from repro.obs.scenarios import trace_scenario
-from repro.sim import Simulator, Store, collect_kernel_stats
+from repro.sim import Simulator, Store
 from repro.sim import _reference
+from timing import event_loop, paired_speedup, time_mode
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BASELINE_PATH = pathlib.Path(__file__).parent / "kernel_baseline.json"
@@ -47,80 +44,17 @@ _MODES = {
 }
 
 
-def _run_mode(scenario, **kwargs):
-    with collect_kernel_stats() as kernel:
-        result = run_microbench(
-            scenario.config, scenario.spec, WINDOW, **kwargs
-        )
-    return result, kernel.stats()
-
-
-def _time_mode(scenario, reps=5, **kwargs):
-    walls = []
-    result = stats = None
-    for _ in range(reps):
-        started = time.perf_counter()
-        result, stats = _run_mode(scenario, **kwargs)
-        walls.append(time.perf_counter() - started)
-    return statistics.median(walls), result, stats
-
-
-def _event_loop(simulator_cls, store_cls, items=10_000):
-    """Same canonical kernel workload as test_simulator_throughput."""
-    sim = simulator_cls()
-    store = store_cls(sim, capacity=16)
-
-    def producer():
-        for i in range(items):
-            yield store.put(i)
-
-    def consumer():
-        total = 0
-        for _ in range(items):
-            total += yield store.get()
-        return total
-
-    sim.process(producer())
-    done = sim.process(consumer())
-    return sim.run(done)
-
-
-def _paired_speedup(fn_ref, fn_new, repeats=15):
-    """Median of per-pair wall ratios (frequency-drift robust).  GC is
-    disabled around the timed region, mirroring the kernel-bench
-    harness (``--benchmark-disable-gc`` covers only fixture-timed
-    tests)."""
-    import gc
-
-    ratios = []
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            started = time.perf_counter()
-            fn_ref()
-            ref_s = time.perf_counter() - started
-            started = time.perf_counter()
-            fn_new()
-            new_s = time.perf_counter() - started
-            ratios.append(ref_s / new_s)
-            gc.collect()
-    finally:
-        if was_enabled:
-            gc.enable()
-    return statistics.median(ratios)
-
-
 def test_obs_overhead_writes_bench_json():
     """Measure fig3-scenario events/sec per observability mode; every
     mode must produce bit-for-bit the same simulation results."""
-    scenario = trace_scenario("fig3")
-    _run_mode(scenario)  # warm code paths before timing
+    scenario = replace(trace_scenario("fig3"), window=WINDOW)
+    run_job(scenario)  # warm code paths before timing
 
     modes = {}
     reference_result = None
-    for mode, kwargs in _MODES.items():
-        wall, result, stats = _time_mode(scenario, **kwargs)
+    for mode, options in _MODES.items():
+        wall, result = time_mode(lambda: run_job(replace(scenario, **options)))
+        stats = result.payload["kernel_stats"]
         modes[mode] = {
             "wall_s": wall,
             "events_fired": stats["events_fired"],
@@ -130,8 +64,8 @@ def test_obs_overhead_writes_bench_json():
             reference_result = result
         else:
             # Observers are passive: identical model outputs in every mode.
-            assert result.work_ipc == reference_result.work_ipc
-            assert result.stats.accesses == reference_result.stats.accesses
+            assert result.payload["work_ipc"] == reference_result.payload["work_ipc"]
+            assert result.payload["accesses"] == reference_result.payload["accesses"]
             assert (
                 stats["events_fired"] >= modes["disabled"]["events_fired"]
             )
@@ -166,11 +100,11 @@ def test_disabled_path_keeps_kernel_speedup_within_2pct():
     disabled, the kernel's speedup over the frozen reference stays
     within 2% of the PR 2 benchmark floor.  Wall-clock-independent:
     both kernels run back to back on this machine."""
-    run_new = lambda: _event_loop(Simulator, Store)
-    run_ref = lambda: _event_loop(_reference.Simulator, _reference.Store)
+    run_new = lambda: event_loop(Simulator, Store)
+    run_ref = lambda: event_loop(_reference.Simulator, _reference.Store)
     assert run_new() == run_ref() == sum(range(10_000))
 
-    speedup = _paired_speedup(run_ref, run_new)
+    speedup, _best_ref, _best_new = paired_speedup(run_ref, run_new)
     assert speedup >= 0.98 * 1.3, (
         f"kernel speedup collapsed with obs layer loaded: {speedup:.2f}x"
     )

@@ -21,6 +21,7 @@ from repro.obs.runlog import git_sha
 from repro.sim import Simulator, Store, collect_kernel_stats
 from repro.sim import _reference
 from repro.workloads.microbench import MicrobenchSpec
+from timing import event_loop, paired_speedup
 
 WINDOW = MeasureWindow(warmup_us=10.0, measure_us=40.0)
 
@@ -69,66 +70,9 @@ def test_sweep_warm_cache_runs_zero_simulations(tmp_path):
     assert warm_s < cold_s / 5
 
 
-def _event_loop(simulator_cls, store_cls, items=10_000):
-    """The canonical kernel workload: a producer/consumer pair
-    exchanging ``items`` values through a bounded Store."""
-    sim = simulator_cls()
-    store = store_cls(sim, capacity=16)
-
-    def producer():
-        for i in range(items):
-            yield store.put(i)
-
-    def consumer():
-        total = 0
-        for _ in range(items):
-            total += yield store.get()
-        return total
-
-    sim.process(producer())
-    done = sim.process(consumer())
-    return sim.run(done)
-
-
-def _paired_speedup(fn_ref, fn_new, repeats=15):
-    """Speedup of ``fn_new`` over ``fn_ref``, robust to frequency drift.
-
-    The reps alternate ref/new so clock-speed drift hits both sides of
-    each pair equally, and the estimate is the *median of per-pair
-    ratios* -- a single slow outlier rep cannot move it the way it
-    moves a best-of-N comparison.  GC is disabled around the timed
-    region (these are plain tests, so ``--benchmark-disable-gc`` does
-    not cover them), so collector pauses land in neither side.
-    Returns (speedup, best_ref, best_new).
-    """
-    import gc
-    import statistics
-
-    ratios = []
-    best_ref = best_new = float("inf")
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            started = time.perf_counter()
-            fn_ref()
-            ref_s = time.perf_counter() - started
-            started = time.perf_counter()
-            fn_new()
-            new_s = time.perf_counter() - started
-            ratios.append(ref_s / new_s)
-            best_ref = min(best_ref, ref_s)
-            best_new = min(best_new, new_s)
-            gc.collect()
-    finally:
-        if was_enabled:
-            gc.enable()
-    return statistics.median(ratios), best_ref, best_new
-
-
 def test_event_loop_throughput(benchmark):
     """Raw kernel: a producer/consumer pair exchanging 10k items."""
-    result = benchmark(lambda: _event_loop(Simulator, Store))
+    result = benchmark(lambda: event_loop(Simulator, Store))
     assert result == sum(range(10_000))
 
 
@@ -143,17 +87,17 @@ def test_kernel_speedup_vs_reference_writes_bench_json():
     written to ``benchmarks/results/BENCH_kernel.json``; CI compares
     the speedup against the committed ``benchmarks/kernel_baseline.json``.
     """
-    run_new_loop = lambda: _event_loop(Simulator, Store)
-    run_ref_loop = lambda: _event_loop(_reference.Simulator, _reference.Store)
+    run_new_loop = lambda: event_loop(Simulator, Store)
+    run_ref_loop = lambda: event_loop(_reference.Simulator, _reference.Store)
     # Warm both code paths before timing.
     assert run_new_loop() == run_ref_loop() == sum(range(10_000))
 
-    loop_speedup, loop_ref_wall, loop_new_wall = _paired_speedup(
+    loop_speedup, loop_ref_wall, loop_new_wall = paired_speedup(
         run_ref_loop, run_new_loop
     )
 
     with collect_kernel_stats() as kernel:
-        _event_loop(Simulator, Store)
+        event_loop(Simulator, Store)
     loop_stats = kernel.stats()
 
     baseline = json.loads(BASELINE_PATH.read_text())
@@ -220,7 +164,7 @@ def test_prefetch_system_throughput(benchmark):
         return run_microbench(config, MicrobenchSpec(work_count=200), WINDOW)
 
     result = benchmark(run)
-    assert result.stats.accesses > 100
+    assert result.payload["accesses"] > 100
 
 
 def test_swq_system_throughput(benchmark):
@@ -235,4 +179,4 @@ def test_swq_system_throughput(benchmark):
         return run_microbench(config, MicrobenchSpec(work_count=200), WINDOW)
 
     result = benchmark(run)
-    assert result.stats.accesses > 100
+    assert result.payload["accesses"] > 100

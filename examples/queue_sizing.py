@@ -12,8 +12,6 @@ latencies".
 Run:  python examples/queue_sizing.py
 """
 
-import dataclasses
-
 from repro import (
     AccessMechanism,
     CpuConfig,
@@ -22,7 +20,7 @@ from repro import (
     SystemConfig,
     UncoreConfig,
 )
-from repro.harness import MeasureWindow, normalized_microbench
+from repro.harness import MeasureWindow, SweepJob, normalized
 
 
 def sweep_lfb(latency_us: float) -> None:
@@ -38,12 +36,12 @@ def sweep_lfb(latency_us: float) -> None:
             uncore=UncoreConfig(pcie_queue_entries=max(14, 4 * lfbs)),
             device=DeviceConfig(total_latency_us=latency_us),
         )
-        normalized, _ = normalized_microbench(
-            config, MicrobenchSpec(work_count=200),
-            MeasureWindow(warmup_us=40, measure_us=120),
-        )
+        value, _ = normalized(SweepJob(
+            config=config, spec=MicrobenchSpec(work_count=200),
+            window=MeasureWindow(warmup_us=40, measure_us=120),
+        ))
         tag = "  <- stock Xeon" if lfbs == 10 else ""
-        print(f"{lfbs:>6d} {threads:>8d} {normalized:>21.3f}{tag}")
+        print(f"{lfbs:>6d} {threads:>8d} {value:>21.3f}{tag}")
 
 
 def sweep_chip_queue() -> None:
@@ -62,12 +60,12 @@ def sweep_chip_queue() -> None:
             uncore=UncoreConfig(pcie_queue_entries=entries),
             device=DeviceConfig(total_latency_us=latency_us),
         )
-        normalized, _ = normalized_microbench(
-            config, MicrobenchSpec(work_count=200),
-            MeasureWindow(warmup_us=40, measure_us=120),
-        )
+        value, _ = normalized(SweepJob(
+            config=config, spec=MicrobenchSpec(work_count=200),
+            window=MeasureWindow(warmup_us=40, measure_us=120),
+        ))
         tag = "  <- stock Xeon" if entries == 14 else ""
-        print(f"{entries:>11d} {normalized:>21.3f}{tag}")
+        print(f"{entries:>11d} {value:>21.3f}{tag}")
 
 
 def main() -> None:

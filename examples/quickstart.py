@@ -15,7 +15,7 @@ from repro import (
     MicrobenchSpec,
     SystemConfig,
 )
-from repro.harness import MeasureWindow, normalized_microbench
+from repro.harness import MeasureWindow, SweepJob, normalized
 
 
 def main() -> None:
@@ -35,9 +35,9 @@ def main() -> None:
         config = SystemConfig(
             mechanism=mechanism, threads_per_core=threads, device=device
         )
-        normalized, result = normalized_microbench(config, spec, window)
-        in_flight = max(result.report["lfb_max_per_core"])
-        print(f"{mechanism.value:18s} {normalized:>20.3f} {in_flight:>15d}")
+        value, run = normalized(SweepJob(config=config, spec=spec, window=window))
+        in_flight = max(run.report["lfb_max_per_core"])
+        print(f"{mechanism.value:18s} {value:>20.3f} {in_flight:>15d}")
 
     print()
     print("Reading the table:")
@@ -60,9 +60,9 @@ def main() -> None:
             attachment=DeviceAttachment.MEMORY_BUS,   # section V-B's hint
         ),
     )
-    normalized, _ = normalized_microbench(fixed, spec, window)
+    value, _ = normalized(SweepJob(config=fixed, spec=spec, window=window))
     print()
-    print(f"with sized queues + memory-bus attach: {normalized:.3f}x DRAM --")
+    print(f"with sized queues + memory-bus attach: {value:.3f}x DRAM --")
     print("'conventional architectures can effectively hide")
     print(" microsecond-level latencies' (section VII).")
 

@@ -35,7 +35,7 @@ def main() -> None:
             mechanism=AccessMechanism.ON_DEMAND,
             device=DeviceConfig(total_latency_us=1.0),
         )
-        measured = run_microbench(config, spec, WINDOW).work_ipc
+        measured = run_microbench(config, spec, WINDOW).payload["work_ipc"]
         row(
             f"on-demand, work={work}",
             measured,
@@ -49,7 +49,7 @@ def main() -> None:
             threads_per_core=threads,
             device=DeviceConfig(total_latency_us=latency_us),
         )
-        measured = run_microbench(config, spec, WINDOW).work_ipc
+        measured = run_microbench(config, spec, WINDOW).payload["work_ipc"]
         row(
             f"prefetch, {threads} threads, {latency_us:g}us",
             measured,
@@ -63,7 +63,7 @@ def main() -> None:
             threads_per_core=32,
             device=DeviceConfig(total_latency_us=1.0),
         )
-        measured = run_microbench(config, spec, WINDOW).work_ipc
+        measured = run_microbench(config, spec, WINDOW).payload["work_ipc"]
         row(
             f"software-queue peak, {reads}-read",
             measured,

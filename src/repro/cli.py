@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.config import (
@@ -38,11 +39,11 @@ from repro.config import (
 )
 from repro.config import stable_digest
 from repro.errors import SimulationError
-from repro.harness.applications import APPLICATIONS, normalized_application
-from repro.harness.experiment import MeasureWindow, normalized_microbench
+from repro.harness.applications import APPLICATIONS, default_params
+from repro.harness.experiment import MeasureWindow
 from repro.harness.figures import ALL_FIGURES
 from repro.harness.report import render_chart, render_table, to_csv
-from repro.harness.sweep import MODEL_VERSION, SweepEngine
+from repro.harness.sweep import MODEL_VERSION, SweepEngine, SweepJob, normalized, run_job
 from repro import units
 from repro.obs import runlog
 from repro.obs.scenarios import TRACE_SCENARIOS
@@ -410,34 +411,34 @@ def _command_run(args: argparse.Namespace, out, record=None) -> int:
         writes_per_batch=args.writes,
     )
     window = MeasureWindow(warmup_us=args.warmup_us, measure_us=args.measure_us)
-    normalized, result = normalized_microbench(
-        config, spec, window,
+    value, run = normalized(SweepJob(
+        config=config, spec=spec, window=window,
         collect_metrics=bool(args.metrics),
         check_invariants=args.check_invariants,
-    )
-    report = result.report
+    ))
+    payload, report = run.payload, run.report
     if record is not None:
         record["config_digest"] = stable_digest(config, spec, window)
         record["check_invariants"] = args.check_invariants
         record["results"] = {
-            "normalized": normalized,
-            "work_ipc": result.work_ipc,
-            "accesses": result.stats.accesses,
+            "normalized": value,
+            "work_ipc": payload["work_ipc"],
+            "accesses": payload["accesses"],
         }
         if args.metrics:
             record["metrics_digest"] = runlog.digest_of(report["metrics"])
     print(f"configuration : {config.describe()}", file=out)
     print(f"work-count    : {spec.work_count}  (MLP {spec.reads_per_batch}, "
           f"{spec.writes_per_batch} writes/iter)", file=out)
-    print(f"work IPC      : {result.work_ipc:.4f}", file=out)
-    print(f"normalized    : {normalized:.4f}  (vs 1-thread DRAM baseline)", file=out)
-    print(f"accesses      : {result.stats.accesses} in "
-          f"{units.to_us(result.stats.ticks):.0f} us", file=out)
+    print(f"work IPC      : {payload['work_ipc']:.4f}", file=out)
+    print(f"normalized    : {value:.4f}  (vs 1-thread DRAM baseline)", file=out)
+    print(f"accesses      : {payload['accesses']} in "
+          f"{units.to_us(payload['ticks']):.0f} us", file=out)
     print(f"LFB peak      : {max(report['lfb_max_per_core'])} / {args.lfb}", file=out)
     print(f"chip-q peak   : {report['uncore_pcie_max']} / {args.chip_queue}", file=out)
     # The link counts wire bytes from time zero, so divide by the
     # whole run, warmup included.
-    run_ticks = window.warmup_ticks + result.stats.ticks
+    run_ticks = window.warmup_ticks + payload["ticks"]
     up = report["pcie_up_wire_bytes"] / units.to_seconds(run_ticks) / units.GB
     print(f"PCIe upstream : {up:.2f} GB/s on the wire (whole run)", file=out)
     if args.metrics:
@@ -452,7 +453,6 @@ def _command_run(args: argparse.Namespace, out, record=None) -> int:
 
 
 def _command_trace(args: argparse.Namespace, out, record=None) -> int:
-    from repro.harness.experiment import run_microbench
     from repro.obs import TraceConfig, Tracer
     from repro.obs.scenarios import trace_scenario
     from repro.obs.validate import validate_trace
@@ -465,29 +465,25 @@ def _command_trace(args: argparse.Namespace, out, record=None) -> int:
         args.tracks, sample_every=args.sample, max_events=args.max_events
     )
     tracer = Tracer(trace_config)
-    result = run_microbench(
-        scenario.config, scenario.spec, window, tracer=tracer,
-        check_invariants=args.check_invariants,
-    )
+    job = replace(scenario, window=window, check_invariants=args.check_invariants)
+    work_ipc = run_job(job, tracer).payload["work_ipc"]
     tracer.write(args.out)
     summary = tracer.summary()
     if record is not None:
         record["scenario"] = args.figure
-        record["config_digest"] = stable_digest(
-            scenario.config, scenario.spec, window
-        )
+        record["config_digest"] = stable_digest(job.config, job.spec, window)
         record["check_invariants"] = args.check_invariants
         record["results"] = {
-            "work_ipc": result.work_ipc,
+            "work_ipc": work_ipc,
             "events": summary["events"],
             "dropped": summary["dropped"],
         }
         record["trace_digest"] = runlog.digest_of(tracer.to_dict())
-    print(f"scenario      : {args.figure} -- {scenario.description}", file=out)
-    print(f"configuration : {scenario.config.describe()}", file=out)
+    print(f"scenario      : {args.figure} -- {job.label}", file=out)
+    print(f"configuration : {job.config.describe()}", file=out)
     print(f"window        : {window.warmup_us:g} us warmup + "
           f"{window.measure_us:g} us measured", file=out)
-    print(f"work IPC      : {result.work_ipc:.4f}", file=out)
+    print(f"work IPC      : {work_ipc:.4f}", file=out)
     print(f"events        : {summary['events']} recorded, "
           f"{summary['dropped']} dropped", file=out)
     for track, count in summary["tracks"].items():
@@ -711,8 +707,8 @@ def _command_sweep_worker(args: argparse.Namespace, out, record=None) -> int:
     return 0
 
 
-def _service_inputs(args: argparse.Namespace):
-    """(config, params, window) for a ``serve``/``explain`` invocation."""
+def _service_job(args: argparse.Namespace) -> SweepJob:
+    """The service job of a ``serve``/``explain`` invocation."""
     from repro.config import SwqConfig
     from repro.harness.service import ServiceParams
     from repro.workloads.loadgen import (
@@ -749,94 +745,91 @@ def _service_inputs(args: argparse.Namespace):
         span_exemplars=getattr(args, "top", None) or 8,
     )
     window = MeasureWindow(warmup_us=args.warmup_us, measure_us=args.measure_us)
-    return config, params, window
+    return SweepJob(
+        config=config, service=params, window=window,
+        check_invariants=args.check_invariants,
+    )
+
+
+def _us(ns: float) -> float:
+    """Nanoseconds (a payload's ``*_ns`` value) in microseconds."""
+    return ns / units.US * units.NS
 
 
 def _command_serve(args: argparse.Namespace, out, record=None) -> int:
-    from repro.harness.service import run_service
-
-    config, params, window = _service_inputs(args)
-    result = run_service(
-        config, params, window, check_invariants=args.check_invariants
-    )
+    job = _service_job(args)
+    result = run_job(job).payload
     if record is not None:
-        record["config_digest"] = stable_digest(config, params, window)
+        record["config_digest"] = stable_digest(job.config, job.service, job.window)
         record["check_invariants"] = args.check_invariants
-        record["results"] = result.payload()
-    print(f"configuration : {config.describe()}", file=out)
+        record["results"] = {
+            key: value for key, value in result.items()
+            if key not in ("kind", "kernel_stats")
+        }
+
+    print(f"configuration : {job.config.describe()}", file=out)
     print(f"load          : {args.arrivals} arrivals, "
-          f"{result.offered_per_core_us:g} req/us/core offered, "
+          f"{result['offered_per_core_us']:g} req/us/core offered, "
           f"zipf theta {args.theta:g}", file=out)
-    print(f"achieved      : {result.achieved_per_us:.3f} req/us total "
-          f"({result.completions} completions, "
-          f"{result.arrivals} arrivals in window)", file=out)
-    print(f"sojourn p50   : {result.p50_ns / units.US * units.NS:.2f} us",
-          file=out)
-    print(f"sojourn p99   : {result.p99_ns / units.US * units.NS:.2f} us",
-          file=out)
-    print(f"sojourn p999  : {result.p999_ns / units.US * units.NS:.2f} us",
-          file=out)
-    print(f"sojourn mean  : {result.mean_ns / units.US * units.NS:.2f} us, "
-          f"jitter {result.jitter_ns / units.US * units.NS:.2f} us, "
-          f"max {result.max_ns / units.US * units.NS:.2f} us", file=out)
-    print(f"queue wait p99: {result.wait_p99_ns / units.US * units.NS:.2f} us",
-          file=out)
-    print(f"host queue    : {result.queue_depth_mean:.2f} mean / "
-          f"{result.queue_depth_max:.0f} max requests waiting", file=out)
+    print(f"achieved      : {result['achieved_per_us']:.3f} req/us total "
+          f"({result['completions']} completions, "
+          f"{result['arrivals']} arrivals in window)", file=out)
+    print(f"sojourn p50   : {_us(result['p50_ns']):.2f} us", file=out)
+    print(f"sojourn p99   : {_us(result['p99_ns']):.2f} us", file=out)
+    print(f"sojourn p999  : {_us(result['p999_ns']):.2f} us", file=out)
+    print(f"sojourn mean  : {_us(result['mean_ns']):.2f} us, "
+          f"jitter {_us(result['jitter_ns']):.2f} us, "
+          f"max {_us(result['max_ns']):.2f} us", file=out)
+    print(f"queue wait p99: {_us(result['wait_p99_ns']):.2f} us", file=out)
+    print(f"host queue    : {result['queue_depth_mean']:.2f} mean / "
+          f"{result['queue_depth_max']:.0f} max requests waiting", file=out)
     return 0
 
 
 def _command_explain(args: argparse.Namespace, out, record=None) -> int:
     import json
 
-    from repro.harness.service import run_service
     from repro.obs import PID_SERVICE, TraceConfig, Tracer
     from repro.obs.spans import SEGMENTS, emit_exemplar_trace
     from repro.obs.validate import validate_trace
 
-    config, params, window = _service_inputs(args)
+    job = _service_job(args)
     tracer = None
     if args.trace_out:
         tracer = Tracer(
             TraceConfig(tracks=frozenset({"service", "swq", "spans"}))
         )
-    result = run_service(
-        config, params, window, tracer=tracer,
-        check_invariants=args.check_invariants,
-    )
-    attribution = result.attribution
-    exemplars = result.exemplars
+    result = run_job(job, tracer).payload
+    attribution = result["attribution"]
+    exemplars = result["exemplars"]
     if record is not None:
-        record["config_digest"] = stable_digest(config, params, window)
+        record["config_digest"] = stable_digest(job.config, job.service, job.window)
         record["check_invariants"] = args.check_invariants
         record["results"] = {
             "attribution": attribution,
             "exemplars_digest": runlog.digest_of(exemplars),
-            "p99_ns": result.p99_ns,
+            "p99_ns": result["p99_ns"],
         }
 
-    def us(ns: float) -> float:
-        return ns / units.US * units.NS
-
     conservation = attribution["conservation"]
-    print(f"configuration : {config.describe()}", file=out)
+    print(f"configuration : {job.config.describe()}", file=out)
     print(f"load          : {args.arrivals} arrivals, "
-          f"{result.offered_per_core_us:g} req/us/core offered, "
+          f"{result['offered_per_core_us']:g} req/us/core offered, "
           f"zipf theta {args.theta:g}", file=out)
     print(f"requests      : {attribution['requests']} completed in the "
           f"measurement window ({conservation['in_flight']} still in "
           f"flight at end)", file=out)
     sojourn = attribution["sojourn"]
-    print(f"sojourn       : p99 {us(sojourn['p99_ns']):.2f} us, "
-          f"mean {us(sojourn['mean_ns']):.2f} us", file=out)
+    print(f"sojourn       : p99 {_us(sojourn['p99_ns']):.2f} us, "
+          f"mean {_us(sojourn['mean_ns']):.2f} us", file=out)
     print("", file=out)
     print("layer attribution (measurement window):", file=out)
     print(f"  {'segment':<8} {'mean/req':>10} {'p99':>10} "
           f"{'total':>11} {'share':>7}", file=out)
     for name in SEGMENTS:
         row = attribution["segments"][name]
-        print(f"  {name:<8} {us(row['mean_ns']):>7.2f} us "
-              f"{us(row['p99_ns']):>7.2f} us {us(row['total_ns']):>8.1f} us "
+        print(f"  {name:<8} {_us(row['mean_ns']):>7.2f} us "
+              f"{_us(row['p99_ns']):>7.2f} us {_us(row['total_ns']):>8.1f} us "
               f"{row['share']:>6.1%}", file=out)
     for core, rows in attribution["per_core"].items():
         shares = "  ".join(
@@ -893,23 +886,25 @@ def _command_app(args: argparse.Namespace, out, record=None) -> int:
         threads_per_core=args.threads,
         device=DeviceConfig(total_latency_us=args.latency_us),
     )
-    normalized, run = normalized_application(
-        config, args.name, check_invariants=args.check_invariants
-    )
+    value, run = normalized(SweepJob(
+        config=config, app=args.name, params=default_params(args.name),
+        check_invariants=args.check_invariants,
+    ))
+    operations, ticks = run.payload["operations"], run.payload["ticks"]
     if record is not None:
         record["app"] = args.name
         record["config_digest"] = stable_digest(config)
         record["check_invariants"] = args.check_invariants
         record["results"] = {
-            "normalized": normalized,
-            "operations": run.operations,
-            "ticks": run.ticks,
+            "normalized": value,
+            "operations": operations,
+            "ticks": ticks,
         }
     print(f"application   : {args.name}", file=out)
     print(f"configuration : {config.describe()}", file=out)
-    print(f"operations    : {run.operations}", file=out)
-    print(f"ns / operation: {units.to_ns(run.ticks_per_operation):.1f}", file=out)
-    print(f"normalized    : {normalized:.4f}  (vs 1-thread DRAM baseline)", file=out)
+    print(f"operations    : {operations}", file=out)
+    print(f"ns / operation: {units.to_ns(ticks / operations):.1f}", file=out)
+    print(f"normalized    : {value:.4f}  (vs 1-thread DRAM baseline)", file=out)
     return 0
 
 
@@ -920,24 +915,22 @@ def _command_profile(args: argparse.Namespace, out, record=None) -> int:
     from repro.sim import collect_kernel_stats
 
     if args.target == "microbench":
-        from repro.harness.experiment import run_microbench
-
-        config = _system_config(args)
-        spec = MicrobenchSpec(
-            work_count=args.work,
-            reads_per_batch=args.mlp,
-            writes_per_batch=args.writes,
+        job = SweepJob(
+            config=_system_config(args),
+            spec=MicrobenchSpec(
+                work_count=args.work,
+                reads_per_batch=args.mlp,
+                writes_per_batch=args.writes,
+            ),
+            window=MeasureWindow(
+                warmup_us=args.warmup_us, measure_us=args.measure_us
+            ),
+            check_invariants=args.check_invariants,
         )
-        window = MeasureWindow(
-            warmup_us=args.warmup_us, measure_us=args.measure_us
-        )
-        label = f"microbench: {config.describe()}"
+        label = f"microbench: {job.config.describe()}"
 
         def workload():
-            run_microbench(
-                config, spec, window,
-                check_invariants=args.check_invariants,
-            )
+            run_job(job)
     else:
         # jobs=1 + no cache keeps every simulation in this process, where
         # the profiler and the stats collector can see it.

@@ -6,28 +6,21 @@ from repro.harness.analytic import (
     predict_prefetch_ipc,
     predict_swq_peak_ipc,
 )
-from repro.harness.applications import (
-    APPLICATIONS,
-    AppRun,
-    normalized_application,
-    run_application,
-)
-from repro.harness.experiment import (
-    MeasureWindow,
-    MicrobenchResult,
-    normalized_microbench,
-    run_microbench,
-)
+from repro.harness.applications import APPLICATIONS
+from repro.harness.experiment import MeasureWindow, run_microbench
 from repro.harness.figures import ALL_FIGURES, FigureResult, Series
 from repro.harness.sweep import (
     MODEL_VERSION,
     JobOutcome,
+    JobRun,
     ResultCache,
     SweepEngine,
     SweepJob,
     SweepSpec,
     baseline_job,
     job_digest,
+    normalized,
+    run_job,
 )
 from repro.harness.regression import (
     compare_to_baseline,
@@ -40,6 +33,7 @@ __all__ = [
     "ALL_FIGURES",
     "MODEL_VERSION",
     "JobOutcome",
+    "JobRun",
     "ResultCache",
     "SweepEngine",
     "SweepJob",
@@ -55,16 +49,13 @@ __all__ = [
     "render_chart",
     "save_baseline",
     "APPLICATIONS",
-    "AppRun",
     "FigureResult",
     "MeasureWindow",
-    "MicrobenchResult",
     "Series",
-    "normalized_application",
-    "normalized_microbench",
+    "normalized",
     "render_summary",
     "render_table",
-    "run_application",
+    "run_job",
     "run_microbench",
     "to_csv",
 ]

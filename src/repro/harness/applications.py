@@ -1,4 +1,4 @@
-"""Application-study driver (Figure 10).
+"""The applications of the application study (Figure 10).
 
 "For each application, we report its normalized performance obtained
 by dividing the execution time of the device-access version by the
@@ -9,14 +9,15 @@ the paper's "35% to 65% of the DRAM baseline" reads directly.
 
 Throughput is compared per operation: the baseline performs the same
 per-thread operation counts on one thread, so multi-threaded runs are
-normalized by their total operation count.
+normalized by their total operation count.  :func:`install_application`
+puts one on a built system for :func:`~repro.harness.sweep.run_job`,
+and :func:`~repro.harness.sweep.normalize` takes the ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.host.system import System
 from repro.workloads.bfs import BfsParams, install_bfs
@@ -24,10 +25,12 @@ from repro.workloads.bloom import BloomParams, install_bloom
 from repro.workloads.memcached import MemcachedParams, install_memcached
 from repro.workloads.microbench import MicrobenchSpec, install_microbench
 
-__all__ = ["AppRun", "run_application", "normalized_application", "APPLICATIONS"]
-
-#: Simulated-time safety limit for one application run.
-_RUN_LIMIT_TICKS = 10**12
+__all__ = [
+    "APPLICATIONS",
+    "MicrobenchAppParams",
+    "default_params",
+    "install_application",
+]
 
 
 @dataclass(frozen=True)
@@ -39,21 +42,9 @@ class MicrobenchAppParams:
     queries_per_thread: int = 48
 
 
-@dataclass
-class AppRun:
-    """One timed application run."""
-
-    name: str
-    config: SystemConfig
-    ticks: int
-    operations: int
-
-    @property
-    def ticks_per_operation(self) -> float:
-        return self.ticks / self.operations
-
-
-def _install(system: System, name: str, params, threads_per_core: int) -> int:
+def install_application(
+    system: System, name: str, params, threads_per_core: int
+) -> int:
     """Install an application; returns its total operation count."""
     if name == "bloom":
         install_bloom(system, params, threads_per_core)
@@ -111,59 +102,3 @@ def default_params(name: str, work_count: int = 200, ops_per_thread: int = 48,
             work_count=work_count, queries_per_thread=ops_per_thread
         )
     raise ConfigError(f"unknown application {name!r}")
-
-
-def run_application(
-    config: SystemConfig,
-    name: str,
-    params=None,
-    check_invariants: bool = False,
-) -> AppRun:
-    """Run one application to completion on ``config``.
-
-    ``check_invariants`` runs the online sanitizer alongside the
-    simulation; it is a passive observer, so timings are bit-for-bit
-    unchanged.
-    """
-    from repro.obs import invariants
-
-    if params is None:
-        params = default_params(name)
-    monitor = None
-    if check_invariants:
-        monitor = invariants.InvariantMonitor()
-    system = System(config, tracer=monitor)
-    if monitor is not None:
-        monitor.attach(system)
-    operations = _install(system, name, params, config.threads_per_core)
-    ticks = system.run_to_completion(limit_ticks=_RUN_LIMIT_TICKS)
-    if monitor is not None:
-        monitor.check_now()
-    return AppRun(name, config, ticks, operations)
-
-
-def normalized_application(
-    config: SystemConfig,
-    name: str,
-    params=None,
-    check_invariants: bool = False,
-) -> tuple[float, AppRun]:
-    """Per-operation speedup over the single-thread DRAM baseline.
-
-    ``check_invariants`` sanitizes the measured run only (the baseline
-    runs the same model, so checking it too would only double the cost).
-    """
-    from repro.harness.sweep import SweepJob, baseline_job, normalize
-
-    if params is None:
-        params = default_params(name)
-    job = SweepJob(config=config, app=name, params=params)
-    run = run_application(config, name, params, check_invariants=check_invariants)
-    base = baseline_job(job)
-    baseline = run_application(base.config, name, params)
-    value = normalize(
-        job,
-        {"ticks": run.ticks, "operations": run.operations},
-        {"ticks": baseline.ticks, "operations": baseline.operations},
-    )
-    return value, run

@@ -110,11 +110,13 @@ def _param_types() -> dict:
 
 
 def job_to_jsonable(job) -> dict:
-    """The JSON-able description of ``job`` a queue stores on disk.
+    """The JSON-able description of ``job``: its identity.
 
-    Everything that is part of the job's identity is kept; ``label``
-    is caller-side bookkeeping and deliberately dropped (it is not part
-    of :func:`~repro.harness.sweep.job_digest` either).
+    The one encoding of a job: :func:`~repro.harness.sweep.job_digest`
+    hashes it, the result cache stores it beside each payload, and a
+    queue's job file carries it (observation options included) to the
+    workers.  ``label`` is caller-side bookkeeping and deliberately
+    dropped.
     """
     data = {
         "kind": job.kind,
@@ -124,6 +126,8 @@ def job_to_jsonable(job) -> dict:
         "app": job.app,
         "params": to_jsonable(job.params),
         "service": to_jsonable(job.service),
+        "collect_metrics": job.collect_metrics,
+        "check_invariants": job.check_invariants,
     }
     if job.params is not None:
         data["params_type"] = type(job.params).__name__
@@ -156,6 +160,8 @@ def job_from_jsonable(data: dict):
         app=data.get("app"),
         params=params,
         service=from_jsonable(Optional[ServiceParams], data.get("service")),
+        collect_metrics=bool(data.get("collect_metrics")),
+        check_invariants=bool(data.get("check_invariants")),
     )
 
 
@@ -278,8 +284,6 @@ class WorkQueue:
         salt: str,
         model_version: str,
         keys: list[str],
-        collect_metrics: bool = False,
-        check_invariants: bool = False,
         git_sha: Optional[str] = None,
     ) -> "WorkQueue":
         """Create the queue for this sweep, or attach to an existing
@@ -316,8 +320,6 @@ class WorkQueue:
             "git_sha": git_sha,
             # Host-side provenance stamp, never fed into the model.
             "created_at": time.time(),
-            "collect_metrics": bool(collect_metrics),
-            "check_invariants": bool(check_invariants),
             "order": list(keys),
             "jobs": {key: PENDING for key in keys},
             "runs": [],
@@ -543,8 +545,6 @@ def run_claimed(
     key: str,
     job,
     worker: str,
-    collect_metrics: bool,
-    check_invariants: bool,
     cache=None,
     salt: str = "",
 ) -> dict:
@@ -575,9 +575,7 @@ def run_claimed(
             t0 = time.perf_counter()
             # Resolved through the module so fault-injection tests
             # (and future instrumentation) see one patch point.
-            record["payload"] = sweep_mod._execute_job(
-                job, collect_metrics, check_invariants
-            )
+            record["payload"] = sweep_mod.run_job(job).payload
             record["wall_s"] = time.perf_counter() - t0
             if cache is not None:
                 cache.store(key, job, salt, record["payload"])
@@ -601,8 +599,6 @@ def worker_loop(
     *,
     cache=None,
     salt: Optional[str] = None,
-    collect_metrics: Optional[bool] = None,
-    check_invariants: Optional[bool] = None,
     lease_s: float = DEFAULT_LEASE_S,
     max_jobs: Optional[int] = None,
     poll_s: float = 0.05,
@@ -631,10 +627,6 @@ def worker_loop(
     if worker is None:
         worker = worker_id()
     manifest = queue.manifest()
-    if collect_metrics is None:
-        collect_metrics = bool(manifest.get("collect_metrics"))
-    if check_invariants is None:
-        check_invariants = bool(manifest.get("check_invariants"))
     if salt is None:
         salt = str(manifest.get("salt", ""))
     stats = {"claims": 0, "done": 0, "failed": 0, "cache_hits": 0}
@@ -649,10 +641,7 @@ def worker_loop(
             continue
         key, description = claimed
         stats["claims"] += 1
-        record = run_claimed(
-            queue, key, description, worker,
-            collect_metrics, check_invariants, cache, salt,
-        )
+        record = run_claimed(queue, key, description, worker, cache, salt)
         if "error" in record:
             stats["failed"] += 1
         else:
@@ -660,10 +649,7 @@ def worker_loop(
     return stats
 
 
-def _local_worker_main(
-    root: str, worker: str, collect_metrics: bool, check_invariants: bool,
-    lease_s: float,
-) -> None:
+def _local_worker_main(root: str, worker: str, lease_s: float) -> None:
     """Entry point of the sweep engine's local worker processes.
 
     Runs :func:`worker_loop` against one queue until every job is
@@ -679,8 +665,6 @@ def _local_worker_main(
         worker_loop(
             WorkQueue.attach(root),
             worker,
-            collect_metrics=collect_metrics,
-            check_invariants=check_invariants,
             lease_s=lease_s,
             poll_s=0.02,
             wait_for_unresolved=True,

@@ -5,8 +5,12 @@ Every figure of the paper's evaluation (section V) is a grid of
 deterministic (see ``docs/MODEL.md``).  That combination makes the
 sweep layer embarrassingly parallel and perfectly cacheable:
 
+* a :class:`SweepJob` is the whole description of one run -- a
+  microbenchmark measurement, a timed application run or an open-loop
+  service measurement, plus its observation options -- and
+  :func:`run_job` is its one runner;
 * a :class:`SweepSpec` is a declarative list of :class:`SweepJob`
-  entries (a microbenchmark measurement or a timed application run);
+  entries;
 * a :class:`SweepEngine` executes the unique jobs of a sweep through
   one work-queue loop -- on forked worker processes for ``jobs`` > 1,
   in this process for ``jobs=1`` -- and returns outcomes **in
@@ -14,12 +18,10 @@ sweep layer embarrassingly parallel and perfectly cacheable:
   parallel execution produce identical figures;
 * results are memoized in a content-addressed JSON cache under
   ``.repro_cache/``, keyed by a :func:`~repro.config.stable_digest` of
-  the full job description (:class:`~repro.config.SystemConfig` +
-  :class:`~repro.workloads.microbench.MicrobenchSpec` +
-  :class:`~repro.harness.experiment.MeasureWindow` + application
-  parameters) salted with :data:`MODEL_VERSION`, so repeated figure
-  runs and CI are near-instant and a model change invalidates
-  everything at once;
+  the full job description
+  (:func:`~repro.harness.coordinator.job_to_jsonable`) salted with
+  :data:`MODEL_VERSION`, so repeated figure runs and CI are
+  near-instant and a model change invalidates everything at once;
 * every sweep runs through an on-disk work queue
   (:mod:`repro.harness.coordinator`), a throwaway one in a temp
   directory unless ``queue_dir`` makes it durable: workers claim jobs
@@ -48,9 +50,7 @@ the engine's key-level deduplication runs each distinct baseline once
 per sweep (and zero times when warm in the cache).  :func:`normalize`
 turns a run's payload and its baseline's into the paper's metric.
 These two functions are the harness's only baseline rule: the figures
-and the direct :func:`~repro.harness.experiment.normalized_microbench`
-/ :func:`~repro.harness.applications.normalized_application` paths
-all go through them.
+and the direct :func:`normalized` path both go through them.
 
 Execution statistics flow through :class:`repro.sim.trace.ProbeSet`
 counters (``sweep-cache-hit``, ``sweep-cache-miss``, ``sweep-sim``,
@@ -67,7 +67,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -81,28 +81,33 @@ from repro.config import (
     SwqConfig,
     SystemConfig,
     stable_digest,
-    to_jsonable,
 )
 from repro.errors import ConfigError, SimulationError
 from repro.harness import coordinator
-from repro.harness.applications import run_application
-from repro.harness.experiment import MeasureWindow, run_microbench
-from repro.harness.service import ServiceParams, run_service
+from repro.harness.applications import install_application
+from repro.harness.experiment import MeasureWindow
+from repro.harness.service import ServiceParams, service_payload
+from repro.host.system import System
+from repro.obs import InvariantMonitor, SpanLedger
 from repro.sim import collect_kernel_stats
 from repro.sim.trace import ProbeSet
 from repro.units import NS_PER_S
-from repro.workloads.microbench import MicrobenchSpec
+from repro.workloads.loadgen import install_service
+from repro.workloads.microbench import MicrobenchSpec, install_microbench
 
 __all__ = [
     "MODEL_VERSION",
     "SweepJob",
     "SweepSpec",
+    "JobRun",
     "JobOutcome",
     "ResultCache",
     "SweepEngine",
     "baseline_job",
     "job_digest",
     "normalize",
+    "normalized",
+    "run_job",
 ]
 
 #: Cache salt: bump whenever a model change alters simulator outputs
@@ -133,6 +138,9 @@ __all__ = [
 #: ``per_core`` lists only the cores that completed a request.
 MODEL_VERSION = "8"
 
+#: Simulated-time safety limit for one application run.
+_RUN_LIMIT_TICKS = 10**12
+
 
 @dataclass(frozen=True)
 class SweepJob:
@@ -143,6 +151,16 @@ class SweepJob:
     open-loop service measurement (``service`` + ``window``).
     ``label`` is an opaque tag threaded through to the outcome for the
     caller's bookkeeping; it is never part of the cache key.
+
+    The observation options are passive -- simulated results are
+    bit-for-bit the same with or without them -- but they change the
+    payload, so they are part of the job's identity:
+    ``collect_metrics`` adds the system's registry snapshot under
+    ``"metrics"``, and ``check_invariants`` runs the online sanitizer
+    (:class:`~repro.obs.invariants.InvariantMonitor`), whose watch
+    events show in ``kernel_stats``.  A cached invariant-checked
+    payload was checked when first simulated; serving it from the cache
+    skips the re-check.
     """
 
     config: SystemConfig
@@ -152,6 +170,8 @@ class SweepJob:
     params: object = None
     service: Optional[ServiceParams] = None
     label: object = None
+    collect_metrics: bool = False
+    check_invariants: bool = False
 
     def __post_init__(self) -> None:
         if self.service is not None:
@@ -225,16 +245,7 @@ class JobOutcome:
 
 def job_digest(job: SweepJob, salt: str = MODEL_VERSION) -> str:
     """Content-addressed cache key of ``job`` (label excluded)."""
-    return stable_digest(
-        salt,
-        job.kind,
-        job.config,
-        job.spec,
-        job.window,
-        job.app,
-        job.params,
-        job.service,
-    )
+    return stable_digest(salt, coordinator.job_to_jsonable(job))
 
 
 def baseline_job(job: SweepJob) -> SweepJob:
@@ -299,50 +310,65 @@ def normalize(job: SweepJob, run_payload: dict, baseline_payload: dict) -> float
     return run_payload["work_ipc"] / baseline_ipc
 
 
-def _execute_job(
-    job: SweepJob,
-    collect_metrics: bool = False,
-    check_invariants: bool = False,
-) -> dict:
-    """Run one job to a small JSON-able payload (worker entry point).
+@dataclass(frozen=True)
+class JobRun:
+    """One executed job.
 
-    Kernel counters are collected around the run and shipped in the
-    payload (``"kernel_stats"``), so the parent can report simulator
-    throughput even for work done in worker processes.
+    ``payload`` is what the sweep engine caches: the kind's results
+    plus ``kernel_stats`` (and ``metrics`` when the job collects them).
+    ``report`` is :meth:`~repro.host.system.System.report`, plus the
+    monitor's ``invariants`` summary and the ``metrics`` snapshot when
+    the job asks for them.
+    """
+
+    job: SweepJob
+    payload: dict
+    report: dict = field(repr=False)
+
+
+def run_job(job: SweepJob, tracer=None) -> JobRun:
+    """Run ``job`` once: build the system, install the workload, run
+    the measurement window (or an application to completion).
+
+    ``tracer`` (a :class:`repro.obs.Tracer`) records a structured
+    timeline of the run.  Kernel counters are collected around all of
+    it and shipped in the payload (``"kernel_stats"``), so the parent
+    can report simulator throughput even for work done in worker
+    processes.  A broken conservation law under ``check_invariants``
+    raises :class:`~repro.obs.invariants.InvariantViolation`.
     """
     with collect_kernel_stats() as kernel:
-        if job.service is not None:
-            service_run = run_service(
-                job.config,
-                job.service,
-                job.window,
-                collect_metrics=collect_metrics,
-                check_invariants=check_invariants,
+        monitor = InvariantMonitor() if job.check_invariants else None
+        if monitor is not None:
+            tracer = monitor.tee(tracer)
+        system = System(job.config, tracer=tracer)
+        service = job.service
+        if service is not None and service.spans:
+            # Hang the ledger before the monitor attaches so its checker
+            # list includes the span-bookkeeping law.
+            system.spans = SpanLedger(
+                system.probes, k_slowest=service.span_exemplars
             )
-            payload = {"kind": "service", **service_run.payload()}
-            if collect_metrics:
-                payload["metrics"] = service_run.report["metrics"]
-        elif job.app is not None:
-            run = run_application(
-                job.config,
-                job.app,
-                job.params,
-                check_invariants=check_invariants,
+        if monitor is not None:
+            monitor.attach(system)
+        threads = job.config.threads_per_core
+        if job.app is not None:
+            operations = install_application(system, job.app, job.params, threads)
+            ticks = system.run_to_completion(limit_ticks=_RUN_LIMIT_TICKS)
+            payload = {"kind": "application", "ticks": ticks, "operations": operations}
+        elif service is not None:
+            state = install_service(
+                system,
+                service.store_params(),
+                service.open_loop,
+                service.workers_per_core,
+                spans=system.spans,
             )
-            payload = {
-                "kind": "application",
-                "ticks": run.ticks,
-                "operations": run.operations,
-            }
+            stats = system.run_window(job.window.warmup_ticks, job.window.measure_ticks)
+            payload = {"kind": "service", **service_payload(service, state, system, stats)}
         else:
-            result = run_microbench(
-                job.config,
-                job.spec,
-                job.window,
-                collect_metrics=collect_metrics,
-                check_invariants=check_invariants,
-            )
-            stats = result.stats
+            install_microbench(system, job.spec, threads)
+            stats = system.run_window(job.window.warmup_ticks, job.window.measure_ticks)
             payload = {
                 "kind": "microbench",
                 "work_ipc": stats.work_ipc,
@@ -351,10 +377,28 @@ def _execute_job(
                 "work_instructions": stats.work_instructions,
                 "cycles": stats.cycles,
             }
-            if collect_metrics:
-                payload["metrics"] = result.report["metrics"]
+        report = system.report()
+        if monitor is not None:
+            monitor.check_now()
+            report["invariants"] = monitor.summary()
+        if job.collect_metrics:
+            report["metrics"] = payload["metrics"] = system.metrics_snapshot()
     payload["kernel_stats"] = kernel.stats()
-    return payload
+    return JobRun(job, payload, report)
+
+
+def normalized(job: SweepJob) -> tuple[float, JobRun]:
+    """The paper's normalized performance of ``job`` (section IV-C)
+    plus its run.
+
+    The baseline is :func:`baseline_job`, which matches the run's
+    work-count *and* MLP ("normalized to the DRAM baseline with a
+    matching degree of MLP", section V-B) and carries no observation
+    option: it runs the same model, so checking it too would only
+    double the cost.
+    """
+    run = run_job(job)
+    return normalize(job, run.payload, run_job(baseline_job(job)).payload), run
 
 
 class ResultCache:
@@ -392,17 +436,7 @@ class ResultCache:
             "format": self.FORMAT,
             "key": key,
             "model_version": salt,
-            "job": to_jsonable(
-                {
-                    "kind": job.kind,
-                    "config": job.config,
-                    "spec": job.spec,
-                    "window": job.window,
-                    "app": job.app,
-                    "params": job.params,
-                    "service": job.service,
-                }
-            ),
+            "job": coordinator.job_to_jsonable(job),
             "result": result,
         }
         try:
@@ -484,17 +518,7 @@ class SweepEngine:
         #: Optional :class:`repro.harness.progress.SweepProgress` (or
         #: anything with its begin/job_done/heartbeat/finish hooks).
         self.progress = progress
-        # Metrics and invariants change the payload (metrics add a
-        # snapshot; a monitored run's kernel counters include the watch
-        # process), so such results must never share cache entries with
-        # plain ones: salt them into disjoint key spaces.  A cached
-        # ``+inv`` entry was invariant-checked when first simulated;
-        # serving it from cache legitimately skips the re-check.
-        self.salt = (
-            str(salt)
-            + ("+metrics" if collect_metrics else "")
-            + ("+inv" if check_invariants else "")
-        )
+        self.salt = str(salt)
         self.timeout_s = timeout_s
         self.retries = retries
         self.probes = ProbeSet()
@@ -512,7 +536,7 @@ class SweepEngine:
         ``REPRO_CACHE_DIR`` (cache root), ``REPRO_NO_CACHE`` (any
         non-empty value disables the on-disk cache),
         ``REPRO_SWEEP_METRICS`` (any non-empty value adds a registry
-        snapshot to every microbench payload),
+        snapshot to every payload),
         ``REPRO_SWEEP_TIMEOUT_S`` (per-job deadline, measured from the
         job's claim), ``REPRO_SWEEP_RETRIES`` (worker-side attempts
         before the in-process fallback) and ``REPRO_SWEEP_QUEUE``
@@ -541,11 +565,18 @@ class SweepEngine:
     def run(
         self, sweep: Union[SweepSpec, Iterable[SweepJob]]
     ) -> list[JobOutcome]:
-        """Execute ``sweep``; outcomes are in submission order."""
+        """Execute ``sweep``; outcomes are in submission order.  The
+        engine's observation options are set on every job it runs."""
         if isinstance(sweep, SweepSpec):
             name, jobs = sweep.name, list(sweep.jobs)
         else:
             name, jobs = "sweep", list(sweep)
+        options = {
+            option: True for option in ("collect_metrics", "check_invariants")
+            if getattr(self, option)
+        }
+        if options:
+            jobs = [replace(job, **options) for job in jobs]
         started = time.perf_counter()
         keys = [job_digest(job, self.salt) for job in jobs]
 
@@ -673,8 +704,6 @@ class SweepEngine:
             salt=self.salt,
             model_version=MODEL_VERSION,
             keys=keys,
-            collect_metrics=self.collect_metrics,
-            check_invariants=self.check_invariants,
             git_sha=None if owned else git_sha(),
         )
         for key in keys:
@@ -843,8 +872,7 @@ class SweepEngine:
                     name = f"{base}-w{spawned}"
                     workers[name] = context.Process(
                         target=coordinator._local_worker_main,
-                        args=(str(queue.root), name, self.collect_metrics,
-                              self.check_invariants,
+                        args=(str(queue.root), name,
                               self.timeout_s + coordinator.DEFAULT_LEASE_S),
                         daemon=True,
                     )
@@ -895,10 +923,7 @@ class SweepEngine:
         """Execute the claimed ``key`` in this process.  A job that
         raises here becomes a structured failure record -- never a lost
         sweep."""
-        record = coordinator.run_claimed(
-            queue, key, job, worker,
-            self.collect_metrics, self.check_invariants,
-        )
+        record = coordinator.run_claimed(queue, key, job, worker)
         if "error" in record:
             failures[key] = record["error"]
             self.probes.counter("sweep-failed").add()

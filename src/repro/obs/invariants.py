@@ -16,8 +16,12 @@ unmonitored one).  The monitor also implements the
 N trace events in a ring so a violation's diagnostic shows what the
 simulation was doing when the law broke.
 
-Enable with ``--check-invariants`` on ``repro run/figure/sweep`` (or
-``check_invariants=True`` on the harness entry points).
+Enable with ``--check-invariants`` on ``repro run/figure/sweep`` (and
+``app``/``serve``/``explain``/``trace``), ``SweepJob(check_invariants=True)``
+on one job, or ``SweepEngine(check_invariants=True)`` on every job of a
+sweep: :func:`~repro.harness.sweep.run_job` attaches the monitor, teed
+with the run's tracer, and reports its :meth:`InvariantMonitor.summary`
+under ``report["invariants"]``.
 """
 
 from __future__ import annotations

@@ -4,31 +4,22 @@
 figure N rather than the whole sweep -- a timeline of a 100-point grid
 would be unreadable, while one well-chosen run shows the figure's
 mechanism directly (ROB stalls for Figure 2, the 10-LFB plateau for
-Figure 3, descriptor-fetch pipelining for Figure 7, ...).
+Figure 3, descriptor-fetch pipelining for Figure 7, ...).  Each
+scenario is a microbench :class:`~repro.harness.sweep.SweepJob` whose
+``label`` describes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import AccessMechanism, DeviceConfig, SystemConfig
 from repro.harness.experiment import MeasureWindow
+from repro.harness.sweep import SweepJob
 from repro.workloads.microbench import MicrobenchSpec
 
-__all__ = ["TraceScenario", "TRACE_SCENARIOS", "trace_scenario"]
+__all__ = ["TRACE_SCENARIOS", "trace_scenario"]
 
 #: Matches the figure sweeps' work-count (harness.figures.DEFAULT_WORK).
 _WORK = 200
-
-
-@dataclass(frozen=True)
-class TraceScenario:
-    """One figure's characteristic configuration."""
-
-    config: SystemConfig
-    spec: MicrobenchSpec
-    window: MeasureWindow
-    description: str
 
 
 def _scenario(
@@ -40,8 +31,8 @@ def _scenario(
     work: int = _WORK,
     mlp: int = 1,
     window: MeasureWindow = MeasureWindow(warmup_us=30.0, measure_us=100.0),
-) -> TraceScenario:
-    return TraceScenario(
+) -> SweepJob:
+    return SweepJob(
         config=SystemConfig(
             mechanism=mechanism,
             cores=cores,
@@ -50,11 +41,11 @@ def _scenario(
         ),
         spec=MicrobenchSpec(work_count=work, reads_per_batch=mlp),
         window=window,
-        description=description,
+        label=description,
     )
 
 
-TRACE_SCENARIOS: dict[str, TraceScenario] = {
+TRACE_SCENARIOS: dict[str, SweepJob] = {
     "fig2": _scenario(
         "on-demand 1-thread at 1us: ROB fills and dispatch stalls",
         AccessMechanism.ON_DEMAND,
@@ -115,7 +106,7 @@ TRACE_SCENARIOS: dict[str, TraceScenario] = {
 }
 
 
-def trace_scenario(name: str) -> TraceScenario:
+def trace_scenario(name: str) -> SweepJob:
     try:
         return TRACE_SCENARIOS[name]
     except KeyError:

@@ -11,7 +11,7 @@ from repro.config import (
 from repro.device.replay import AccessTrace
 from repro.errors import ProtocolError
 from repro.host.system import System
-from repro.units import to_ns, us
+from repro.units import to_ns
 from repro.workloads.microbench import MicrobenchSpec, install_microbench
 
 

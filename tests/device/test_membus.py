@@ -93,11 +93,12 @@ def test_membus_with_sized_lfbs_reaches_parity_at_4us():
             total_latency_us=4.0, attachment=DeviceAttachment.MEMORY_BUS
         ),
     )
-    from repro.harness.experiment import MeasureWindow, normalized_microbench
+    from repro.harness.experiment import MeasureWindow
+    from repro.harness.sweep import SweepJob, normalized
 
-    value, _ = normalized_microbench(
-        config,
-        MicrobenchSpec(work_count=200),
-        MeasureWindow(warmup_us=40, measure_us=100),
-    )
+    value, _ = normalized(SweepJob(
+        config=config,
+        spec=MicrobenchSpec(work_count=200),
+        window=MeasureWindow(warmup_us=40, measure_us=100),
+    ))
     assert value > 0.9

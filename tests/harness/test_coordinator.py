@@ -2,7 +2,7 @@
 
 import json
 import multiprocessing
-import os
+from dataclasses import replace
 
 import pytest
 
@@ -74,6 +74,12 @@ def test_job_survives_json_round_trip(job):
     rebuilt = job_from_jsonable(data)
     assert rebuilt.kind == job.kind
     assert job_digest(rebuilt, "s") == job_digest(job, "s")
+    # The job file carries the observation options to the workers, and
+    # they are part of the job's identity.
+    observed = replace(job, collect_metrics=True, check_invariants=True)
+    rebuilt = job_from_jsonable(json.loads(json.dumps(job_to_jsonable(observed))))
+    assert rebuilt == observed
+    assert job_digest(rebuilt, "s") != job_digest(job, "s")
 
 
 def test_round_trip_drops_label_like_the_digest_does():
@@ -274,12 +280,12 @@ def test_worker_loop_serves_and_fills_the_cache(tmp_path):
 def test_worker_loop_records_structured_failures(tmp_path, monkeypatch):
     queue = _queue(tmp_path, [_job()])
 
-    def _boom(job, collect_metrics, check_invariants):
+    def _boom(job, tracer=None):
         raise ValueError("injected fault")
 
     from repro.harness import sweep as sweep_mod
 
-    monkeypatch.setattr(sweep_mod, "_execute_job", _boom)
+    monkeypatch.setattr(sweep_mod, "run_job", _boom)
     stats = worker_loop(queue, "w1")
     assert stats["failed"] == 1
     [key] = queue.order

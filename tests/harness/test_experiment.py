@@ -3,18 +3,15 @@
 import pytest
 
 from repro.config import AccessMechanism, DeviceConfig, SystemConfig
-from repro.harness.applications import (
-    MicrobenchAppParams,
-    default_params,
-    normalized_application,
-    run_application,
+from repro.harness.applications import MicrobenchAppParams, default_params
+from repro.harness.experiment import MeasureWindow, run_microbench
+from repro.harness.sweep import (
+    SweepJob,
+    baseline_job,
+    job_digest,
+    normalized,
+    run_job,
 )
-from repro.harness.experiment import (
-    MeasureWindow,
-    normalized_microbench,
-    run_microbench,
-)
-from repro.harness.sweep import SweepJob, baseline_job, job_digest
 from repro.workloads.microbench import MicrobenchSpec
 
 WINDOW = MeasureWindow(warmup_us=10.0, measure_us=30.0)
@@ -29,8 +26,8 @@ def test_measure_window_ticks():
 def test_run_microbench_produces_stats_and_report():
     config = SystemConfig(mechanism=AccessMechanism.PREFETCH, threads_per_core=4)
     result = run_microbench(config, MicrobenchSpec(work_count=100), WINDOW)
-    assert result.work_ipc > 0
-    assert result.stats.accesses > 0
+    assert result.payload["work_ipc"] > 0
+    assert result.payload["accesses"] > 0
     assert "lfb_max_per_core" in result.report
 
 
@@ -47,29 +44,27 @@ def test_baseline_cache_distinguishes_lines_per_thread():
     small_job, large_job = baseline(64), baseline(2048)
     # The memo is the result cache, keyed by the job digest.
     assert job_digest(small_job) != job_digest(large_job)
-    small = run_microbench(small_job.config, small_job.spec, tiny)
-    large = run_microbench(large_job.config, large_job.spec, tiny)
-    assert small.spec.lines_per_thread == 64
-    assert large.spec.lines_per_thread == 2048
+    small = run_job(small_job)
+    large = run_job(large_job)
+    assert small.job.spec.lines_per_thread == 64
+    assert large.job.spec.lines_per_thread == 2048
     # The distinction matters: 64 lines live in the L1, 2048 thrash it.
-    assert small.work_ipc != large.work_ipc
+    assert small.payload["work_ipc"] != large.payload["work_ipc"]
 
 
 def test_zero_ipc_baseline_raises_simulation_error(monkeypatch):
     from repro.errors import SimulationError
-    from repro.harness import experiment
-
-    class _Dead:
-        work_ipc = 0.0
+    from repro.harness import sweep
 
     monkeypatch.setattr(
-        experiment, "run_microbench",
-        lambda config, spec, window, **kwargs: _Dead(),
+        sweep, "run_job",
+        lambda job, tracer=None: sweep.JobRun(job, {"work_ipc": 0.0}, {}),
     )
     config = SystemConfig(mechanism=AccessMechanism.ON_DEMAND)
     with pytest.raises(SimulationError) as excinfo:
-        experiment.normalized_microbench(
-            config, MicrobenchSpec(work_count=7), WINDOW
+        sweep.normalized(
+            SweepJob(config=config, spec=MicrobenchSpec(work_count=7),
+                     window=WINDOW)
         )
     message = str(excinfo.value)
     assert "zero work IPC" in message
@@ -83,10 +78,12 @@ def test_normalized_microbench_is_ratio():
         device=DeviceConfig(total_latency_us=1.0),
     )
     spec = MicrobenchSpec(work_count=100)
-    value, result = normalized_microbench(config, spec, WINDOW)
-    base = baseline_job(SweepJob(config=config, spec=spec, window=WINDOW))
-    baseline = run_microbench(base.config, base.spec, base.window)
-    assert value == pytest.approx(result.work_ipc / baseline.work_ipc)
+    job = SweepJob(config=config, spec=spec, window=WINDOW)
+    value, result = normalized(job)
+    baseline = run_job(baseline_job(job))
+    assert value == pytest.approx(
+        result.payload["work_ipc"] / baseline.payload["work_ipc"]
+    )
     assert 0 < value < 1
 
 
@@ -100,24 +97,25 @@ def test_default_params_for_every_application():
 def test_run_application_counts_operations():
     config = SystemConfig(mechanism=AccessMechanism.PREFETCH, threads_per_core=2)
     params = MicrobenchAppParams(work_count=100, queries_per_thread=10)
-    run = run_application(config, "microbench-4read", params)
-    assert run.operations == 2 * 10
-    assert run.ticks > 0
-    assert run.ticks_per_operation == run.ticks / 20
+    run = run_job(SweepJob(config=config, app="microbench-4read", params=params))
+    operations, ticks = run.payload["operations"], run.payload["ticks"]
+    assert operations == 2 * 10
+    assert ticks > 0
+    assert ticks / operations == ticks / 20
 
 
 def test_normalized_application_scales_with_threads():
     params = MicrobenchAppParams(work_count=100, queries_per_thread=12)
-    slow, _ = normalized_application(
-        SystemConfig(mechanism=AccessMechanism.PREFETCH, threads_per_core=1),
-        "microbench-4read",
-        params,
-    )
-    fast, _ = normalized_application(
-        SystemConfig(mechanism=AccessMechanism.PREFETCH, threads_per_core=3),
-        "microbench-4read",
-        params,
-    )
+    slow, _ = normalized(SweepJob(
+        config=SystemConfig(mechanism=AccessMechanism.PREFETCH, threads_per_core=1),
+        app="microbench-4read",
+        params=params,
+    ))
+    fast, _ = normalized(SweepJob(
+        config=SystemConfig(mechanism=AccessMechanism.PREFETCH, threads_per_core=3),
+        app="microbench-4read",
+        params=params,
+    ))
     assert fast > slow
 
 

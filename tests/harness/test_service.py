@@ -11,8 +11,8 @@ from repro.config import (
 )
 from repro.errors import ConfigError
 from repro.harness.experiment import MeasureWindow
-from repro.harness.service import ServiceParams, run_service
-from repro.harness.sweep import SweepEngine, SweepJob, baseline_job
+from repro.harness.service import ServiceParams
+from repro.harness.sweep import SweepEngine, SweepJob, baseline_job, run_job
 from repro.workloads.loadgen import ArrivalKind, ArrivalSpec, KeySpec, OpenLoopSpec
 
 WINDOW = MeasureWindow(warmup_us=10.0, measure_us=60.0)
@@ -36,25 +36,31 @@ def service_params(rate=0.2, **kwargs):
     )
 
 
+def _serve(config, params, window=WINDOW, **options):
+    """The run of one service job."""
+    return run_job(
+        SweepJob(config=config, service=params, window=window, **options)
+    )
+
+
 def test_run_service_reports_slo_quantities():
-    result = run_service(swq_config(), service_params(), WINDOW)
-    assert result.arrivals > 0
-    assert result.completions > 0
+    result = _serve(swq_config(), service_params()).payload
+    assert result["arrivals"] > 0
+    assert result["completions"] > 0
     # Quantiles are ordered and in a sane band: at least the device
     # round-trip (~1 us), far below the measurement window.
-    assert 500 < result.p50_ns <= result.p99_ns <= result.p999_ns
-    assert result.p999_ns <= result.max_ns < 60_000.0
-    assert result.jitter_ns >= 0
-    assert result.achieved_per_us > 0
-    payload = result.payload()
-    assert payload["p99_ns"] == result.p99_ns
-    assert payload["completions"] == result.completions
+    assert 500 < result["p50_ns"] <= result["p99_ns"] <= result["p999_ns"]
+    assert result["p999_ns"] <= result["max_ns"] < 60_000.0
+    assert result["jitter_ns"] >= 0
+    assert result["achieved_per_us"] > 0
+    assert result["kind"] == "service"
+    assert "attribution" not in result
 
 
 def test_run_service_is_deterministic():
-    a = run_service(swq_config(), service_params(), WINDOW)
-    b = run_service(swq_config(), service_params(), WINDOW)
-    assert a.payload() == b.payload()
+    a = _serve(swq_config(), service_params())
+    b = _serve(swq_config(), service_params())
+    assert a.payload == b.payload
 
 
 def test_run_service_seed_changes_results():
@@ -64,9 +70,9 @@ def test_run_service_seed_changes_results():
             arrivals=params.open_loop.arrivals, seed=99
         ),
     )
-    a = run_service(swq_config(), params, WINDOW)
-    b = run_service(swq_config(), reseeded, WINDOW)
-    assert a.payload() != b.payload()
+    a = _serve(swq_config(), params)
+    b = _serve(swq_config(), reseeded)
+    assert a.payload != b.payload
 
 
 def test_service_percentiles_exclude_warmup():
@@ -109,11 +115,11 @@ def test_service_percentiles_exclude_warmup():
 def test_open_loop_reveals_saturation():
     # Closed-loop threads throttle themselves; the open loop must not.
     # Past saturation, arrivals keep landing and the queue grows.
-    light = run_service(swq_config(), service_params(rate=0.1), WINDOW)
-    overload = run_service(swq_config(), service_params(rate=2.0), WINDOW)
-    assert overload.arrivals > 4 * light.arrivals
-    assert overload.queue_depth_max > light.queue_depth_max
-    assert overload.p99_ns > light.p99_ns
+    light = _serve(swq_config(), service_params(rate=0.1)).payload
+    overload = _serve(swq_config(), service_params(rate=2.0)).payload
+    assert overload["arrivals"] > 4 * light["arrivals"]
+    assert overload["queue_depth_max"] > light["queue_depth_max"]
+    assert overload["p99_ns"] > light["p99_ns"]
 
 
 def test_small_ring_survives_many_workers():
@@ -122,29 +128,23 @@ def test_small_ring_survives_many_workers():
     # more reads outstanding than the CQ could hold.  The SQ/CQ credit
     # discipline in the runtime must bound submissions instead.
     config = swq_config(workers=16, ring=8)
-    result = run_service(
-        config,
-        service_params(rate=0.3, workers_per_core=16),
-        WINDOW,
-    )
-    assert result.completions > 0
+    result = _serve(config, service_params(rate=0.3, workers_per_core=16))
+    assert result.payload["completions"] > 0
 
 
 def test_rule_sized_ring_beats_under_rule_tail():
     # Paper section V-B: ~20 x latency_us entries per core.  At 1 us
     # device latency the rule-sized (32) ring must not lose to the
     # under-provisioned (8) ring on p99 sojourn.
-    under = run_service(
+    under = _serve(
         swq_config(workers=16, ring=8),
         service_params(rate=0.3, workers_per_core=16),
-        WINDOW,
     )
-    rule = run_service(
+    rule = _serve(
         swq_config(workers=16, ring=32),
         service_params(rate=0.3, workers_per_core=16),
-        WINDOW,
     )
-    assert rule.p99_ns < under.p99_ns
+    assert rule.payload["p99_ns"] < under.payload["p99_ns"]
 
 
 def test_service_key_space_must_fit_store():
@@ -152,7 +152,7 @@ def test_service_key_space_must_fit_store():
         open_loop=OpenLoopSpec(keys=KeySpec(items=4096)), items=512
     )
     with pytest.raises(ConfigError, match="exceeds the populated store"):
-        run_service(swq_config(), params, WINDOW)
+        _serve(swq_config(), params)
 
 
 def test_mmpp_arrivals_run_end_to_end():
@@ -163,8 +163,8 @@ def test_mmpp_arrivals_run_end_to_end():
             )
         )
     )
-    result = run_service(swq_config(), params, WINDOW)
-    assert result.completions > 0
+    result = _serve(swq_config(), params)
+    assert result.payload["completions"] > 0
 
 
 # -- sweep integration -------------------------------------------------------
@@ -221,17 +221,17 @@ def test_service_jobs_cache_warm(tmp_path):
 def _attributed(config=None, **param_kwargs):
     config = config or swq_config()
     params = service_params(spans=True, **param_kwargs)
-    return run_service(config, params, WINDOW)
+    return _serve(config, params).payload
 
 
 def test_run_service_with_spans_attributes_latency():
     result = _attributed()
-    attribution = result.attribution
-    assert attribution is not None and result.exemplars is not None
+    attribution = result["attribution"]
+    assert attribution is not None and result["exemplars"] is not None
     conservation = attribution["conservation"]
     assert conservation["sojourn_ticks"] == conservation["segments_ticks"]
     assert conservation["checked"] == conservation["closed"]
-    assert attribution["requests"] == result.completions
+    assert attribution["requests"] == result["completions"]
     assert sum(
         row["share"] for row in attribution["segments"].values()
     ) == pytest.approx(1.0)
@@ -242,7 +242,7 @@ def test_run_service_with_spans_attributes_latency():
 
 def test_span_exemplar_trees_tile_their_sojourns():
     result = _attributed(span_exemplars=4)
-    slowest = result.exemplars["slowest"]
+    slowest = result["exemplars"]["slowest"]
     assert 1 <= len(slowest) <= 4
     sojourns = [tree["sojourn_ticks"] for tree in slowest]
     assert sojourns == sorted(sojourns, reverse=True)
@@ -252,16 +252,15 @@ def test_span_exemplar_trees_tile_their_sojourns():
             assert begin == cursor and end >= begin
             cursor = end
         assert cursor == tree["finished_at"]
-    assert set(result.exemplars["stratified"]) == {"p50", "p90", "p99"}
+    assert set(result["exemplars"]["stratified"]) == {"p50", "p90", "p99"}
 
 
 def test_spans_are_model_passive():
-    base = run_service(swq_config(), service_params(), WINDOW)
-    attributed = _attributed()
-    payload = attributed.payload()
+    base = _serve(swq_config(), service_params())
+    payload = _attributed()
     payload.pop("attribution")
     payload.pop("exemplars")
-    assert payload == base.payload()
+    assert payload == base.payload
 
 
 @pytest.mark.parametrize(
@@ -279,20 +278,20 @@ def test_span_conservation_holds_without_completion_ring(mechanism):
         device=DeviceConfig(total_latency_us=1.0),
     )
     result = _attributed(config=config)
-    conservation = result.attribution["conservation"]
+    conservation = result["attribution"]["conservation"]
     assert conservation["sojourn_ticks"] == conservation["segments_ticks"]
-    assert result.attribution["requests"] == result.completions > 0
+    assert result["attribution"]["requests"] == result["completions"] > 0
 
 
 def test_spans_clean_under_invariant_monitor():
-    result = run_service(
-        swq_config(), service_params(spans=True), WINDOW,
-        check_invariants=True,
+    result = _serve(
+        swq_config(), service_params(spans=True), check_invariants=True
     )
-    # A violation raises out of run_service; reaching here means the
+    # A violation raises out of run_job; reaching here means the
     # monitor's periodic sweeps (span bookkeeping included) all passed.
     assert result.report["invariants"]["checks_run"] > 0
-    assert result.attribution["requests"] == result.completions
+    payload = result.payload
+    assert payload["attribution"]["requests"] == payload["completions"]
 
 
 def test_smt_core_first_seen_in_the_window_is_attributed():
@@ -307,10 +306,10 @@ def test_smt_core_first_seen_in_the_window_is_attributed():
         device=DeviceConfig(total_latency_us=1.0),
     )
     params = service_params(spans=True, workers_per_core=4)
-    result = run_service(
+    result = _serve(
         config, params, MeasureWindow(warmup_us=1.0, measure_us=100.0)
-    )
-    attribution = result.attribution
+    ).payload
+    attribution = result["attribution"]
     counts = {
         core: rows["queue"]["count"]
         for core, rows in attribution["per_core"].items()
@@ -318,14 +317,14 @@ def test_smt_core_first_seen_in_the_window_is_attributed():
     assert set(counts) == {"core0", "core1"}
     assert counts["core0"] > 0 and counts["core1"] > 0
     assert sum(counts.values()) == attribution["requests"]
-    assert attribution["requests"] == result.completions
+    assert attribution["requests"] == result["completions"]
 
 
 def test_spans_deterministic_across_runs():
     a = _attributed()
     b = _attributed()
-    assert a.payload() == b.payload()
-    assert a.exemplars == b.exemplars
+    assert a == b
+    assert a["exemplars"] == b["exemplars"]
 
 
 def test_service_rejects_bad_span_exemplars():

@@ -18,8 +18,8 @@ from repro.config import (
 from repro.errors import ConfigError, SimulationError
 from repro.harness import figures
 from repro.harness import sweep as sweep_mod
-from repro.harness.applications import default_params, normalized_application
-from repro.harness.experiment import MeasureWindow, normalized_microbench
+from repro.harness.applications import default_params
+from repro.harness.experiment import MeasureWindow
 from repro.harness.figures import Series
 from repro.harness.sweep import (
     MODEL_VERSION,
@@ -29,6 +29,7 @@ from repro.harness.sweep import (
     SweepSpec,
     baseline_job,
     job_digest,
+    normalized,
 )
 from repro.workloads.microbench import MicrobenchSpec
 
@@ -216,18 +217,18 @@ def test_no_cache_engine_never_touches_disk(tmp_path):
 # Worker failure, timeout, fallback
 # ---------------------------------------------------------------------------
 
-_REAL_EXECUTE = sweep_mod._execute_job
+_REAL_RUN = sweep_mod.run_job
 
 
-def _fail_in_worker(job, collect_metrics=False, check_invariants=False):
+def _fail_in_worker(job, tracer=None):
     """Raises inside pool workers, behaves normally in the parent."""
     if multiprocessing.current_process().name != "MainProcess":
         raise RuntimeError("injected worker failure")
-    return _REAL_EXECUTE(job, collect_metrics, check_invariants)
+    return _REAL_RUN(job, tracer)
 
 
 def test_worker_failure_falls_back_in_process(monkeypatch):
-    monkeypatch.setattr(sweep_mod, "_execute_job", _fail_in_worker)
+    monkeypatch.setattr(sweep_mod, "run_job", _fail_in_worker)
     jobs = [_job(threads=threads) for threads in (1, 2)]
     engine = SweepEngine(jobs=2, use_cache=False, retries=1, timeout_s=60.0)
     outcomes = engine.run(jobs)
@@ -274,10 +275,7 @@ def test_sweep_normalization_matches_direct_path():
     grid = [(Series(job.describe()), 4, job) for job in jobs]
     figures._run_normalized("mini", grid, SweepEngine(jobs=1, use_cache=False))
     for line, _x, job in grid:
-        if job.app is None:
-            direct, _ = normalized_microbench(job.config, job.spec, TINY)
-        else:
-            direct, _ = normalized_application(job.config, job.app, job.params)
+        direct, _ = normalized(job)
         assert line.y_at(4) == direct, job.describe()
 
 
@@ -501,10 +499,10 @@ def test_serial_sweep_leaves_no_temp_files(tmp_path, monkeypatch):
         )
     assert list(temp_root.iterdir()) == []
 
-    def _boom(job, collect_metrics, check_invariants):
+    def _boom(job, tracer=None):
         raise ValueError("injected fault")
 
-    monkeypatch.setattr(sweep_mod, "_execute_job", _boom)
+    monkeypatch.setattr(sweep_mod, "run_job", _boom)
     engine = SweepEngine(jobs=1, use_cache=False)
     [outcome] = engine.run([_job()])
     assert outcome.failed

@@ -10,7 +10,7 @@ mid-sweep interrupt followed by a bit-for-bit identical resume.
 
 The injected faults key off ``multiprocessing.current_process().name``:
 engine workers are forked children (so they inherit the monkeypatched
-``sweep_mod._execute_job``), while the parent's in-process fallback
+``sweep_mod.run_job``), while the parent's in-process fallback
 runs in ``MainProcess`` and is spared -- exactly the asymmetry a real
 worker-environment fault has.
 """
@@ -32,7 +32,7 @@ TINY = MeasureWindow(warmup_us=2.0, measure_us=8.0)
 #: ``work_count`` marking the job a fault is injected into.
 SENTINEL = 7777
 
-_REAL_EXECUTE = sweep_mod._execute_job
+_REAL_RUN = sweep_mod.run_job
 
 
 def _job(work) -> SweepJob:
@@ -51,12 +51,13 @@ def _in_worker() -> bool:
     return multiprocessing.current_process().name != "MainProcess"
 
 
-def _fake_payload(job) -> dict:
-    return {
+def _fake_run(job) -> sweep_mod.JobRun:
+    payload = {
         "kind": "microbench",
         "work": job.spec.work_count,
         "proc": multiprocessing.current_process().name,
     }
+    return sweep_mod.JobRun(job, payload, {})
 
 
 def _worker_index(worker: str):
@@ -72,13 +73,13 @@ def _worker_index(worker: str):
 # ---------------------------------------------------------------------------
 
 def test_hung_worker_is_killed_and_replaced(tmp_path, monkeypatch):
-    def _hang_on_sentinel(job, collect_metrics, check_invariants):
+    def _hang_on_sentinel(job, tracer=None):
         if job.spec.work_count == SENTINEL and _in_worker():
             time.sleep(600.0)
         time.sleep(0.06)
-        return _fake_payload(job)
+        return _fake_run(job)
 
-    monkeypatch.setattr(sweep_mod, "_execute_job", _hang_on_sentinel)
+    monkeypatch.setattr(sweep_mod, "run_job", _hang_on_sentinel)
     jobs = [_job(SENTINEL)] + [_job(work) for work in range(16)]
     engine = SweepEngine(
         jobs=2, retries=0, timeout_s=0.4, use_cache=False,
@@ -112,14 +113,14 @@ def test_hung_worker_is_killed_and_replaced(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_crashing_workers_never_lose_jobs(monkeypatch):
-    def _crash_in_worker(job, collect_metrics, check_invariants):
+    def _crash_in_worker(job, tracer=None):
         if _in_worker():
             import os
 
             os._exit(5)
-        return _fake_payload(job)
+        return _fake_run(job)
 
-    monkeypatch.setattr(sweep_mod, "_execute_job", _crash_in_worker)
+    monkeypatch.setattr(sweep_mod, "run_job", _crash_in_worker)
     jobs = [_job(work) for work in range(3)]
     engine = SweepEngine(jobs=2, retries=1, timeout_s=60.0, use_cache=False)
     outcomes = engine.run(SweepSpec(name="crash", jobs=jobs))
@@ -139,12 +140,12 @@ def test_crashing_workers_never_lose_jobs(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_failing_job_reports_structured_failure(tmp_path, monkeypatch):
-    def _fail_on_sentinel(job, collect_metrics, check_invariants):
+    def _fail_on_sentinel(job, tracer=None):
         if job.spec.work_count == SENTINEL:
             raise ValueError("injected deterministic fault")
-        return _fake_payload(job)
+        return _fake_run(job)
 
-    monkeypatch.setattr(sweep_mod, "_execute_job", _fail_on_sentinel)
+    monkeypatch.setattr(sweep_mod, "run_job", _fail_on_sentinel)
     jobs = [_job(0), _job(SENTINEL), _job(1)]
     engine = SweepEngine(
         jobs=2, retries=1, timeout_s=60.0, use_cache=False,
@@ -175,12 +176,12 @@ def test_failing_job_reports_structured_failure(tmp_path, monkeypatch):
 
 
 def test_failing_job_on_the_serial_path(monkeypatch):
-    def _fail_on_sentinel(job, collect_metrics, check_invariants):
+    def _fail_on_sentinel(job, tracer=None):
         if job.spec.work_count == SENTINEL:
             raise ValueError("serial fault")
-        return _fake_payload(job)
+        return _fake_run(job)
 
-    monkeypatch.setattr(sweep_mod, "_execute_job", _fail_on_sentinel)
+    monkeypatch.setattr(sweep_mod, "run_job", _fail_on_sentinel)
     engine = SweepEngine(jobs=1, use_cache=False)
     outcomes = engine.run(
         SweepSpec(name="serial-fail", jobs=[_job(0), _job(SENTINEL)])
@@ -195,11 +196,11 @@ def test_failing_job_on_the_serial_path(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_queued_jobs_do_not_time_out_waiting_for_a_slot(monkeypatch):
-    def _slow(job, collect_metrics, check_invariants):
+    def _slow(job, tracer=None):
         time.sleep(0.15)
-        return _fake_payload(job)
+        return _fake_run(job)
 
-    monkeypatch.setattr(sweep_mod, "_execute_job", _slow)
+    monkeypatch.setattr(sweep_mod, "run_job", _slow)
     # 8 jobs over 2 slots: the tail of the queue waits ~0.45 s for a
     # slot, well past the 0.3 s per-job deadline.  The deadline runs
     # from each job's observed start, so nothing times out.
@@ -253,9 +254,9 @@ def test_interrupted_sweep_resumes_bit_for_bit(tmp_path, monkeypatch):
     def _paced(*args, **kwargs):
         if _in_worker():
             time.sleep(0.1)
-        return _REAL_EXECUTE(*args, **kwargs)
+        return _REAL_RUN(*args, **kwargs)
 
-    monkeypatch.setattr(sweep_mod, "_execute_job", _paced)
+    monkeypatch.setattr(sweep_mod, "run_job", _paced)
     queue_dir = tmp_path / "q"
     interrupted = SweepEngine(
         jobs=2, use_cache=False, queue_dir=queue_dir,
@@ -305,12 +306,12 @@ def test_hung_worker_is_killed_when_the_timeout_outlasts_the_lease(
     # ``timeout_s`` before the workers fork to make that reachable.
     monkeypatch.setattr(coordinator, "DEFAULT_LEASE_S", 0.2)
 
-    def _hang_on_sentinel(job, collect_metrics, check_invariants):
+    def _hang_on_sentinel(job, tracer=None):
         if job.spec.work_count == SENTINEL and _in_worker():
             time.sleep(20.0)
-        return _fake_payload(job)
+        return _fake_run(job)
 
-    monkeypatch.setattr(sweep_mod, "_execute_job", _hang_on_sentinel)
+    monkeypatch.setattr(sweep_mod, "run_job", _hang_on_sentinel)
     jobs = [_job(SENTINEL), _job(1), _job(2)]
     engine = SweepEngine(jobs=2, retries=1, timeout_s=0.5, use_cache=False)
     started = time.monotonic()

@@ -26,7 +26,7 @@ def measure(mechanism, threads, spec, **overrides):
         device=DeviceConfig(total_latency_us=overrides.pop("latency_us", 1.0)),
         **overrides,
     )
-    return config, run_microbench(config, spec, WINDOW).work_ipc
+    return config, run_microbench(config, spec, WINDOW).payload["work_ipc"]
 
 
 @pytest.mark.parametrize("work", [100, 500, 2000])
@@ -68,7 +68,7 @@ def test_prefetch_bigger_lfbs_within_compute_envelope():
         cpu=CpuConfig(lfb_entries=20),
         device=DeviceConfig(total_latency_us=1.0),
     )
-    measured = run_microbench(config, spec, WINDOW).work_ipc
+    measured = run_microbench(config, spec, WINDOW).payload["work_ipc"]
     # 20 in flight at 1 us -> the compute regime binds before the
     # queue; the measurement must land inside the serial/overlapped
     # envelope.

@@ -14,7 +14,8 @@ from repro.config import (
     SystemConfig,
     UncoreConfig,
 )
-from repro.harness.experiment import MeasureWindow, normalized_microbench
+from repro.harness.experiment import MeasureWindow
+from repro.harness.sweep import SweepJob, normalized
 from repro.workloads.microbench import MicrobenchSpec
 
 WINDOW = MeasureWindow(warmup_us=20.0, measure_us=60.0)
@@ -29,7 +30,7 @@ def norm(mechanism, threads, latency_us=1.0, cores=1, spec=SPEC, **overrides):
         device=DeviceConfig(total_latency_us=latency_us),
         **overrides,
     )
-    value, result = normalized_microbench(config, spec, WINDOW)
+    value, result = normalized(SweepJob(config=config, spec=spec, window=WINDOW))
     return value, result
 
 

@@ -1,16 +1,21 @@
 """Invariant-sanitizer tests: clean runs pass, corrupted state is loud,
 and a monitored run's results are bit-for-bit unmonitored results."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import AccessMechanism, DeviceConfig, SystemConfig
 from repro.errors import SimulationError
-from repro.harness.applications import run_application
-from repro.harness.experiment import MeasureWindow, run_microbench
+from repro.harness.applications import default_params
+from repro.harness.experiment import MeasureWindow
+from repro.harness.service import ServiceParams
+from repro.harness.sweep import SweepJob, run_job
 from repro.host.system import System
-from repro.obs import InvariantMonitor, InvariantViolation, TeeTracer
+from repro.obs import InvariantMonitor, InvariantViolation, TeeTracer, Tracer
 from repro.obs.scenarios import TRACE_SCENARIOS
 from repro.units import us
+from repro.workloads.loadgen import ArrivalSpec, KeySpec, OpenLoopSpec
 from repro.workloads.microbench import MicrobenchSpec, install_microbench
 
 TINY = MeasureWindow(warmup_us=2.0, measure_us=8.0)
@@ -41,9 +46,7 @@ def _attached_system(config=None):
 @pytest.mark.parametrize("name", sorted(TRACE_SCENARIOS))
 def test_every_figure_scenario_passes_invariants(name):
     scenario = TRACE_SCENARIOS[name]
-    result = run_microbench(
-        scenario.config, scenario.spec, TINY, check_invariants=True
-    )
+    result = run_job(replace(scenario, window=TINY, check_invariants=True))
     summary = result.report["invariants"]
     assert summary["checks_run"] >= 2  # periodic watch + final check
     assert summary["components"] >= 3
@@ -54,24 +57,71 @@ def test_every_figure_scenario_passes_invariants(name):
     [AccessMechanism.PREFETCH, AccessMechanism.SOFTWARE_QUEUE],
 )
 def test_applications_pass_invariants(mechanism):
-    run = run_application(
-        _config(mechanism, threads=2), "bloom", check_invariants=True
-    )
-    assert run.operations > 0
+    run = run_job(SweepJob(
+        config=_config(mechanism, threads=2),
+        app="bloom",
+        params=default_params("bloom"),
+        check_invariants=True,
+    ))
+    assert run.payload["operations"] > 0
+    assert run.report["invariants"]["checks_run"] >= 2
 
 
 # ---------------------------------------------------------------------------
 # Passivity: monitored results are bit-for-bit unmonitored results
 # ---------------------------------------------------------------------------
 
+def _model_outputs(run, *observations) -> dict:
+    """The payload without its kernel counters and ``observations``."""
+    return {
+        key: value for key, value in run.payload.items()
+        if key not in ("kernel_stats", *observations)
+    }
+
+
 def test_monitor_is_passive():
     spec = MicrobenchSpec(work_count=100, reads_per_batch=2)
-    plain = run_microbench(_config(), spec, TINY)
-    checked = run_microbench(_config(), spec, TINY, check_invariants=True)
+    microbench = SweepJob(config=_config(), spec=spec, window=TINY)
+    plain = run_job(microbench)
+    checked = run_job(replace(microbench, check_invariants=True))
     assert "invariants" not in plain.report
-    assert checked.stats.work_instructions == plain.stats.work_instructions
-    assert checked.stats.accesses == plain.stats.accesses
-    assert checked.work_ipc == plain.work_ipc
+    assert (checked.payload["work_instructions"]
+            == plain.payload["work_instructions"])
+    assert checked.payload["accesses"] == plain.payload["accesses"]
+    assert checked.payload["work_ipc"] == plain.payload["work_ipc"]
+
+    # Every job kind, under every observer: the monitor, a metrics
+    # snapshot and a recording tracer leave the model's outputs alone.
+    bloom = SweepJob(
+        config=_config(threads=2),
+        app="bloom",
+        params=default_params("bloom", ops_per_thread=4),
+    )
+    service = SweepJob(
+        config=_config(AccessMechanism.SOFTWARE_QUEUE),
+        service=ServiceParams(
+            open_loop=OpenLoopSpec(
+                arrivals=ArrivalSpec(rate_per_us=0.3),
+                keys=KeySpec(items=256),
+            ),
+            items=256,
+            buckets=256,
+            workers_per_core=4,
+            spans=True,
+        ),
+        window=MeasureWindow(warmup_us=5.0, measure_us=30.0),
+    )
+    for job in (microbench, bloom, service):
+        outputs = _model_outputs(run_job(job))
+        checked = run_job(replace(job, check_invariants=True))
+        assert checked.report["invariants"]["checks_run"] >= 1, job.kind
+        assert _model_outputs(checked) == outputs, job.kind
+        metered = run_job(replace(job, collect_metrics=True))
+        assert metered.payload["metrics"], job.kind
+        assert _model_outputs(metered, "metrics") == outputs, job.kind
+        tracer = Tracer()
+        assert _model_outputs(run_job(job, tracer)) == outputs, job.kind
+        assert tracer.events, job.kind
 
 
 # ---------------------------------------------------------------------------
@@ -191,3 +241,12 @@ def test_monitor_tee_returns_self_without_tracer():
     assert monitor.tee(None) is monitor
     tee = monitor.tee(object.__new__(TeeTracer))
     assert isinstance(tee, TeeTracer)
+
+
+def test_corrupted_kernel_counters_are_caught():
+    monitor, system = _attached_system()
+    system.run_window(TINY.warmup_ticks, TINY.measure_ticks)
+    system.sim.heap_pops = system.sim.heap_pushes + 1
+    with pytest.raises(InvariantViolation, match="more timed pops") as excinfo:
+        monitor.check_now()
+    assert excinfo.value.component == "sim.kernel"

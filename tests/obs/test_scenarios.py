@@ -33,7 +33,7 @@ def test_scenario_table_covers_every_figure_sweep():
         f"fig{n}" for n in range(2, 11)
     )
     for scenario in TRACE_SCENARIOS.values():
-        assert scenario.description
+        assert scenario.label
 
 
 def test_fig10_scenario_matches_the_application_study_shape():

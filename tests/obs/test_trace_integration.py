@@ -5,8 +5,9 @@ import json
 
 from repro.cli import main
 from repro.config import AccessMechanism, DeviceConfig, SystemConfig
+from repro.harness.applications import default_params
 from repro.harness.experiment import MeasureWindow, run_microbench
-from repro.harness.sweep import SweepEngine, SweepJob
+from repro.harness.sweep import SweepEngine, SweepJob, run_job
 from repro.obs import TraceConfig, Tracer
 from repro.obs.validate import validate_trace
 from repro.units import to_ns
@@ -33,7 +34,7 @@ def test_tracing_does_not_perturb_the_simulation():
     plain = run_microbench(_config(), spec, TINY)
     tracer = Tracer()
     traced = run_microbench(_config(), spec, TINY, tracer=tracer)
-    assert traced.work_ipc == plain.work_ipc
+    assert traced.payload["work_ipc"] == plain.payload["work_ipc"]
     assert traced.report == plain.report
     assert len(tracer.events) > 0
 
@@ -55,10 +56,15 @@ def test_track_filter_restricts_traced_output():
     assert set(tracer.track_counts) == {"rob"}
 
 
-def test_system_metrics_snapshot_covers_every_layer():
-    result = run_microbench(
-        _config(), MicrobenchSpec(work_count=100), TINY, collect_metrics=True
+def _metered():
+    spec = MicrobenchSpec(work_count=100)
+    return run_job(
+        SweepJob(config=_config(), spec=spec, window=TINY, collect_metrics=True)
     )
+
+
+def test_system_metrics_snapshot_covers_every_layer():
+    result = _metered()
     metrics = result.report["metrics"]
     assert metrics["core0.instructions"]["total"] > 0
     assert metrics["core0.lfb.fills"]["value"] > 0
@@ -74,9 +80,7 @@ def test_system_metrics_snapshot_covers_every_layer():
 def test_registry_latency_rows_cover_the_measurement_window():
     # The registry row and the report describe one population: the
     # accesses since the window opened, warmup excluded from every field.
-    result = run_microbench(
-        _config(), MicrobenchSpec(work_count=100), TINY, collect_metrics=True
-    )
+    result = _metered()
     row = result.report["metrics"]["access_latency"]
     report = result.report["access_latency_ns"]
     assert row["count"] == report["count"] > 0
@@ -86,18 +90,24 @@ def test_registry_latency_rows_cover_the_measurement_window():
 
 
 def test_sweep_metrics_use_a_disjoint_cache_keyspace(tmp_path):
-    job = SweepJob(
+    microbench = SweepJob(
         config=_config(), spec=MicrobenchSpec(work_count=50), window=TINY
     )
-    plain = SweepEngine(jobs=1, cache_dir=tmp_path)
-    assert "metrics" not in plain.run([job])[0].payload
-    with_metrics = SweepEngine(jobs=1, cache_dir=tmp_path,
-                               collect_metrics=True)
-    outcome = with_metrics.run([job])[0]
-    # The metrics-bearing payload must not be served from the plain
-    # run's cache entry (different payload shape, different key).
-    assert with_metrics.last_stats["simulated"] == 1
-    assert outcome.payload["metrics"]["core0.instructions"]["total"] > 0
+    application = SweepJob(
+        config=_config(threads_per_core=2),
+        app="bloom",
+        params=default_params("bloom", ops_per_thread=4),
+    )
+    for job in (microbench, application):
+        plain = SweepEngine(jobs=1, cache_dir=tmp_path)
+        assert "metrics" not in plain.run([job])[0].payload
+        with_metrics = SweepEngine(jobs=1, cache_dir=tmp_path,
+                                   collect_metrics=True)
+        outcome = with_metrics.run([job])[0]
+        # The metrics-bearing payload must not be served from the plain
+        # run's cache entry (different payload shape, different key).
+        assert with_metrics.last_stats["simulated"] == 1
+        assert outcome.payload["metrics"]["core0.instructions"]["total"] > 0
 
 
 def test_trace_cli_smoke(tmp_path):

@@ -22,8 +22,8 @@ from repro.config import (
     SystemConfig,
 )
 from repro.harness.experiment import MeasureWindow
-from repro.harness.service import ServiceParams, run_service
-from repro.harness.sweep import SweepEngine, SweepJob
+from repro.harness.service import ServiceParams
+from repro.harness.sweep import SweepEngine, SweepJob, run_job
 from repro.workloads.loadgen import ArrivalSpec, KeySpec, OpenLoopSpec
 
 WINDOW = MeasureWindow(warmup_us=5.0, measure_us=30.0)
@@ -47,7 +47,7 @@ def _run(mechanism, cores, workers, rate, ring, theta, seed):
         spans=True,
         span_exemplars=4,
     )
-    return run_service(config, params, WINDOW)
+    return run_job(SweepJob(config=config, service=params, window=WINDOW)).payload
 
 
 @given(
@@ -71,21 +71,21 @@ def test_span_conservation_holds_for_random_configs(
     mechanism, cores, workers, rate, ring, theta, seed
 ):
     result = _run(mechanism, cores, workers, rate, ring, theta, seed)
-    attribution = result.attribution
+    attribution = result["attribution"]
     conservation = attribution["conservation"]
     # Aggregate conservation is tick-exact (attribution() itself
     # raises on a violation; the equality is asserted for the record).
     assert conservation["sojourn_ticks"] == conservation["segments_ticks"]
     assert conservation["checked"] == conservation["closed"]
-    assert attribution["requests"] == result.completions
+    assert attribution["requests"] == result["completions"]
     if attribution["requests"]:
         shares = sum(
             row["share"] for row in attribution["segments"].values()
         )
         assert shares == pytest.approx(1.0)
     # Every retained exemplar tree tiles its own lifetime.
-    trees = list(result.exemplars["slowest"])
-    trees.extend(result.exemplars["stratified"].values())
+    trees = list(result["exemplars"]["slowest"])
+    trees.extend(result["exemplars"]["stratified"].values())
     for tree in trees:
         cursor = tree["arrived_at"]
         total = 0

@@ -21,7 +21,6 @@ from repro.config import (
     UncoreConfig,
 )
 from repro.host.system import System
-from repro.units import us
 from repro.workloads.microbench import MicrobenchSpec, install_microbench
 
 mechanisms = st.sampled_from(list(AccessMechanism))

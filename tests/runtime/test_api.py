@@ -10,7 +10,7 @@ from repro.config import (
     SystemConfig,
 )
 from repro.host.system import System
-from repro.units import ns, to_ns
+from repro.units import to_ns
 
 
 def build(mechanism, backing=BackingStore.DEVICE, **overrides):

@@ -11,7 +11,7 @@ from repro.config import (
 )
 from repro.errors import SimulationError
 from repro.host.system import System
-from repro.units import to_ns, us
+from repro.units import to_ns
 from repro.workloads.microbench import MicrobenchSpec
 
 
@@ -150,7 +150,7 @@ def test_microbench_with_writes_barely_slows_down():
     with_writes = run_microbench(
         config, MicrobenchSpec(work_count=200, writes_per_batch=1), window
     )
-    assert with_writes.work_ipc > 0.9 * read_only.work_ipc
+    assert with_writes.payload["work_ipc"] > 0.9 * read_only.payload["work_ipc"]
 
 
 def test_baseline_writes_go_to_dram():

@@ -138,7 +138,7 @@ def test_spawned_processes_do_not_scale_with_accesses(mechanism):
             result = run_microbench(
                 config, spec, MeasureWindow(warmup_us=5.0, measure_us=measure_us)
             )
-        return kernel.stats()["processes_spawned"], result.stats.accesses
+        return kernel.stats()["processes_spawned"], result.payload["accesses"]
 
     spawned, accesses = run(20.0)
     spawned_doubled, accesses_doubled = run(40.0)

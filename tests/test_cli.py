@@ -447,10 +447,11 @@ def test_sweep_worker_drains_a_standalone_queue(tmp_path):
         config=SystemConfig(threads_per_core=2),
         spec=MicrobenchSpec(work_count=10),
         window=MeasureWindow(warmup_us=2.0, measure_us=8.0),
+        collect_metrics=True,
     )
-    key = job_digest(job, "salt+metrics")
+    key = job_digest(job, "salt")
     queue = WorkQueue.ensure(
-        tmp_path / "queue" / "unit", name="unit", salt="salt+metrics",
+        tmp_path / "queue" / "unit", name="unit", salt="salt",
         model_version=MODEL_VERSION, keys=[key],
     )
     queue.enqueue(key, job)
@@ -462,15 +463,17 @@ def test_sweep_worker_drains_a_standalone_queue(tmp_path):
     assert "queues        : 1 drained" in text
     assert "claims        : 1 (1 done, 0 failed, 0 cache hits)" in text
     assert queue.unresolved() == 0
+    # The job file carried the metrics option to the worker.
+    assert queue.done_record(key)["payload"]["metrics"]
 
 
 def test_sweep_surfaces_failed_jobs_in_exit_code(monkeypatch):
     from repro.harness import sweep as sweep_mod
 
-    def _always_fails(job, collect_metrics, check_invariants):
+    def _always_fails(job, tracer=None):
         raise ValueError("injected CLI fault")
 
-    monkeypatch.setattr(sweep_mod, "_execute_job", _always_fails)
+    monkeypatch.setattr(sweep_mod, "run_job", _always_fails)
     code, text = run_cli("sweep", "fig3", "--scale", "quick", "--no-cache")
     assert code == 1
     assert "FAILED" in text
@@ -518,16 +521,16 @@ def test_sweep_environment_reaches_the_cli_engine(monkeypatch, tmp_path):
 def test_interrupt_hint_names_the_environment_queue(monkeypatch, tmp_path):
     from repro.harness import sweep as sweep_mod
 
-    real_execute = sweep_mod._execute_job
+    real_run = sweep_mod.run_job
     calls = []
 
-    def _interrupt_third(job, collect_metrics, check_invariants):
+    def _interrupt_third(job, tracer=None):
         calls.append(job)
         if len(calls) == 3:
             raise KeyboardInterrupt
-        return real_execute(job, collect_metrics, check_invariants)
+        return real_run(job, tracer)
 
-    monkeypatch.setattr(sweep_mod, "_execute_job", _interrupt_third)
+    monkeypatch.setattr(sweep_mod, "run_job", _interrupt_third)
     monkeypatch.setenv("REPRO_SWEEP_QUEUE", str(tmp_path / "queue"))
     code, text = run_cli("sweep", "fig3", "--scale", "quick", "--no-cache")
     assert code == 130
