@@ -7,8 +7,6 @@ on-demand from its slow on-board DRAM misses response deadlines as
 parallelism grows; the streamed replay design does not.
 """
 
-import pytest
-
 from repro.config import AccessMechanism, DeviceConfig, SystemConfig
 from repro.device.replay import AccessTrace
 from repro.harness.figures import FigureResult

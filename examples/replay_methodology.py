@@ -19,7 +19,7 @@ from repro import AccessMechanism, DeviceConfig, MicrobenchSpec, SystemConfig
 from repro.config import OnboardDramConfig
 from repro.device.emulator import DmaEngine
 from repro.host.system import System
-from repro.units import to_us, us
+from repro.units import to_us
 from repro.workloads.microbench import install_microbench
 
 

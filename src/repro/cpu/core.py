@@ -28,8 +28,10 @@ from typing import Callable, Optional, Sequence
 from repro.config import CpuConfig
 from repro.cpu.memsys import CoreMemorySystem
 from repro.cpu.rob import ReorderBuffer
+from repro.cpu.storebuffer import PendingStore
 from repro.cpu.uncore import AddressSpace
 from repro.errors import SimulationError
+from repro.memory import FlatMemory
 from repro.sim import Event, Resource, Simulator, all_of
 from repro.sim.trace import Counter
 
@@ -56,8 +58,6 @@ class LoadToken:
 
     def word(self) -> int:
         """The loaded 64-bit value (line must have arrived)."""
-        from repro.memory import FlatMemory
-
         return FlatMemory.word_from_line(self.line_addr, self.event.value, self.addr)
 
 
@@ -255,8 +255,6 @@ class OutOfOrderCore:
                 "need a System-built memory subsystem)"
             )
         yield from self._dispatch_one()
-        from repro.cpu.storebuffer import PendingStore
-
         yield from self.memsys.store_buffer.post(
             PendingStore(addr, space, num_bytes)
         )

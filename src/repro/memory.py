@@ -10,9 +10,12 @@ Words are 64-bit, matching the paper's ``dev_access(uint64*)`` API.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import AddressError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["FlatMemory", "WORD_BYTES"]
 
@@ -26,7 +29,7 @@ _LINES_PER_PAGE = 64
 
 #: Page contents are little-endian 64-bit words on any host, so a
 #: line's bytes are the same everywhere.
-_WORD_DTYPE = np.dtype("<u8")
+_WORD_DTYPE = "<u8"
 
 
 class FlatMemory:
@@ -39,7 +42,8 @@ class FlatMemory:
 
     A page holds ``_LINES_PER_PAGE`` whole lines as a little-endian
     word array beside a per-word written mask; a page exists once any
-    of its words is written.
+    of its words is written.  numpy is imported with the first page,
+    so a memory nobody writes never loads it.
     """
 
     def __init__(self, line_bytes: int = 64) -> None:
@@ -63,6 +67,8 @@ class FlatMemory:
         """Page ``number``, created zeroed and unwritten on first use."""
         page = self._pages.get(number)
         if page is None:
+            import numpy as np
+
             page = (
                 np.zeros(self._page_words, dtype=_WORD_DTYPE),
                 np.zeros(self._page_words, dtype=bool),
@@ -95,6 +101,8 @@ class FlatMemory:
         of writing each word in turn; the address is checked before
         anything is written.
         """
+        import numpy as np
+
         self._check_word_aligned(addr)
         if not (isinstance(words, np.ndarray) and words.dtype == np.uint64):
             words = np.fromiter((int(word) & _WORD_MASK for word in words), dtype=np.uint64)

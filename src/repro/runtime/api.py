@@ -273,6 +273,7 @@ class SoftwareQueueContext(AccessContext):
         self.swq_config = swq_config
         self.queue_pair = queue_pair
         self.doorbell_addr = doorbell_addr
+        self.doorbell_ticks = ns(swq_config.doorbell_ns)
         self.response_base = response_base
         self.line_bytes = line_bytes
         #: Response buffer capacity in lines (one slot per in-flight
@@ -306,9 +307,7 @@ class SoftwareQueueContext(AccessContext):
         )
         if self.queue_pair.doorbell_needed or not self.swq_config.doorbell_flag:
             self.queue_pair.note_doorbell()
-            yield from self.core.mmio_write(
-                self.doorbell_addr, 8, ns(self.swq_config.doorbell_ns)
-            )
+            yield from self.core.mmio_write(self.doorbell_addr, 8, self.doorbell_ticks)
 
     def _wait_for_ring_space(self):
         """Spin (yielding the core) while the queue pair is full.
@@ -377,9 +376,7 @@ class SoftwareQueueContext(AccessContext):
         )
         if self.queue_pair.doorbell_needed or not self.swq_config.doorbell_flag:
             self.queue_pair.note_doorbell()
-            yield from self.core.mmio_write(
-                self.doorbell_addr, 8, ns(self.swq_config.doorbell_ns)
-            )
+            yield from self.core.mmio_write(self.doorbell_addr, 8, self.doorbell_ticks)
 
     def read_batch(self, addrs: Sequence[int]):
         yield from self.read_batch_async(addrs)
@@ -428,8 +425,6 @@ class KernelQueueContext(SoftwareQueueContext):
             )
         )
         self.queue_pair.note_doorbell()
-        yield from self.core.mmio_write(
-            self.doorbell_addr, 8, ns(self.swq_config.doorbell_ns)
-        )
+        yield from self.core.mmio_write(self.doorbell_addr, 8, self.doorbell_ticks)
         # The kernel deschedules the calling thread.
         yield from self.core.busy(self.kernel_switch_ticks)

@@ -65,6 +65,9 @@ class CoreRuntime:
         self.sim = sim
         self.core = core
         self.costs = costs
+        #: A poll takes at least one tick, so an empty poll loop always
+        #: advances simulated time.
+        self._poll_ticks = max(1, costs.poll_ticks)
         self.queue_pair = queue_pair
         self.threads: list[UserThread] = []
         self.ready: Deque[UserThread] = deque()
@@ -230,7 +233,7 @@ class CoreRuntime:
         assert queue_pair is not None
         self._slices_since_poll = 0
         poll_start = self.sim.now
-        yield from self.core.busy(max(1, self.costs.poll_ticks))
+        yield from self.core.busy(self._poll_ticks)
         found = False
         consumed = 0
         while True:

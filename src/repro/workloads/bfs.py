@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.host.system import System
 from repro.memory import WORD_BYTES, FlatMemory
@@ -61,6 +59,8 @@ def generate_graph(params: BfsParams) -> list[list[int]]:
     traversal reaches every vertex within a handful of levels (like
     the Graph500 generator's connected component).
     """
+    import numpy as np
+
     rng = np.random.RandomState(params.seed)
     n = params.vertices
     adjacency: list[set[int]] = [set() for _ in range(n)]

@@ -7,7 +7,10 @@ correctness tests rely on.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["mix64", "mix64_array", "hash_with_seed"]
 
@@ -28,6 +31,8 @@ def mix64_array(values: np.ndarray) -> np.ndarray:
     uint64 arithmetic wraps modulo 2**64, which is exactly the
     ``& _MASK`` that :func:`mix64` applies after each step.
     """
+    import numpy as np
+
     value = np.asarray(values, dtype=np.uint64)
     value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)

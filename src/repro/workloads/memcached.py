@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.host.system import System
 from repro.memory import WORD_BYTES, FlatMemory
@@ -103,6 +101,8 @@ class KvStore:
         The value region is written in one bulk pass; only the entry
         words and the bucket heads are written key by key.
         """
+        import numpy as np
+
         keys = list(keys)
         params = self.params
         if len(keys) > params.items:

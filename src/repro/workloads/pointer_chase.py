@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.host.system import System
 from repro.memory import FlatMemory
@@ -60,6 +58,8 @@ class PointerChain:
         world: FlatMemory,
         seed_offset: int = 0,
     ) -> None:
+        import numpy as np
+
         self.params = params
         self.base_addr = base_addr
         self.world = world

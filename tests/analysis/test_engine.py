@@ -71,3 +71,22 @@ def test_directory_walk_skips_pycache(tmp_path):
     result = analyze_paths([tmp_path])
     assert result.files_scanned == 1
     assert result.findings == []
+
+
+def test_function_local_import_alias_resolves():
+    """An alias imported inside a function canonicalizes like a
+    module-level one, so a workload that imports numpy only where it
+    draws still has its RNG construction checked (SIM102)."""
+    findings = analyze_source(textwrap.dedent('''
+        def unseeded():
+            import numpy as np
+
+            return np.random.RandomState().permutation(8)
+
+
+        def seeded(seed):
+            import numpy as np
+
+            return np.random.RandomState(seed).permutation(8)
+    '''))
+    assert [(finding.code, finding.line) for finding in findings] == [("SIM102", 5)]

@@ -1,5 +1,11 @@
 """Unit tests for the functional memory."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.errors import AddressError
@@ -100,3 +106,53 @@ def test_line_address_helper():
     assert memory.line_address(130) == 128
     with pytest.raises(AddressError):
         memory.line_address(-1)
+
+
+#: Run in a fresh interpreter: this one has numpy loaded by other tests.
+_NUMPY_ON_DEMAND = textwrap.dedent('''
+    import sys
+
+    import repro
+    import repro.harness.sweep as sweep
+    from repro.config import AccessMechanism, SystemConfig
+    from repro.harness.experiment import MeasureWindow
+    from repro.workloads.microbench import MicrobenchSpec
+
+    assert "numpy" not in sys.modules, "importing repro loaded numpy"
+    window = MeasureWindow(warmup_us=1.0, measure_us=4.0)
+    for mechanism in AccessMechanism:
+        job = sweep.SweepJob(
+            config=SystemConfig(mechanism=mechanism, cores=1, threads_per_core=2),
+            spec=MicrobenchSpec(work_count=50),
+            window=window,
+        )
+        for run in (job, sweep.baseline_job(job)):
+            assert sweep.run_job(run).payload["accesses"] > 0
+            assert "numpy" not in sys.modules, f"{run.describe()} loaded numpy"
+
+    from repro.memory import FlatMemory
+    from repro.workloads.bfs import BfsParams, generate_graph
+    from repro.workloads.memcached import KvStore, MemcachedParams, value_word
+
+    assert len(generate_graph(BfsParams(vertices=8))) == 8
+    assert "numpy" in sys.modules, "generate_graph did not load numpy"
+    params = MemcachedParams(items=4, buckets=2, value_bytes=64)
+    store = KvStore(params, 0, FlatMemory())
+    store.populate([3, 5, 7])
+    assert store.get_functional(5) == [value_word(5, i) for i in range(8)]
+''')
+
+
+def test_numpy_loads_only_when_a_workload_fills_memory():
+    """Microbenchmarks never write functional memory, so a sweep of
+    them runs without numpy; a graph or a KvStore loads it on demand."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ON_DEMAND],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
