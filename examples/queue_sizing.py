@@ -20,7 +20,8 @@ from repro import (
     SystemConfig,
     UncoreConfig,
 )
-from repro.harness import MeasureWindow, SweepJob, normalized
+from repro.harness.experiment import MeasureWindow
+from repro.harness.sweep import SweepJob, normalized
 
 
 def sweep_lfb(latency_us: float) -> None:

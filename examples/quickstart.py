@@ -15,7 +15,8 @@ from repro import (
     MicrobenchSpec,
     SystemConfig,
 )
-from repro.harness import MeasureWindow, SweepJob, normalized
+from repro.harness.experiment import MeasureWindow
+from repro.harness.sweep import SweepJob, normalized
 
 
 def main() -> None:

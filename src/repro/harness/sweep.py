@@ -62,7 +62,6 @@ latency probe, so benchmarks can assert cache behavior and speedup.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import shutil
 import tempfile
@@ -88,7 +87,6 @@ from repro.harness.applications import install_application
 from repro.harness.experiment import MeasureWindow
 from repro.harness.service import ServiceParams, service_payload
 from repro.host.system import System
-from repro.obs import InvariantMonitor, SpanLedger
 from repro.sim import collect_kernel_stats
 from repro.sim.trace import ProbeSet
 from repro.units import NS_PER_S
@@ -335,54 +333,68 @@ def run_job(job: SweepJob, tracer=None) -> JobRun:
     it and shipped in the payload (``"kernel_stats"``), so the parent
     can report simulator throughput even for work done in worker
     processes.  A broken conservation law under ``check_invariants``
-    raises :class:`~repro.obs.invariants.InvariantViolation`.
+    raises :class:`~repro.obs.invariants.InvariantViolation`.  The
+    system's functional memory is cleared before the call returns or
+    raises, so nothing can read it afterwards.
     """
     with collect_kernel_stats() as kernel:
-        monitor = InvariantMonitor() if job.check_invariants else None
-        if monitor is not None:
+        monitor = None
+        if job.check_invariants:
+            from repro.obs import InvariantMonitor
+
+            monitor = InvariantMonitor()
             tracer = monitor.tee(tracer)
         system = System(job.config, tracer=tracer)
-        service = job.service
-        if service is not None and service.spans:
-            # Hang the ledger before the monitor attaches so its checker
-            # list includes the span-bookkeeping law.
-            system.spans = SpanLedger(
-                system.probes, k_slowest=service.span_exemplars
-            )
-        if monitor is not None:
-            monitor.attach(system)
-        threads = job.config.threads_per_core
-        if job.app is not None:
-            operations = install_application(system, job.app, job.params, threads)
-            ticks = system.run_to_completion(limit_ticks=_RUN_LIMIT_TICKS)
-            payload = {"kind": "application", "ticks": ticks, "operations": operations}
-        elif service is not None:
-            state = install_service(
-                system,
-                service.store_params(),
-                service.open_loop,
-                service.workers_per_core,
-                spans=system.spans,
-            )
-            stats = system.run_window(job.window.warmup_ticks, job.window.measure_ticks)
-            payload = {"kind": "service", **service_payload(service, state, system, stats)}
-        else:
-            install_microbench(system, job.spec, threads)
-            stats = system.run_window(job.window.warmup_ticks, job.window.measure_ticks)
-            payload = {
-                "kind": "microbench",
-                "work_ipc": stats.work_ipc,
-                "accesses": stats.accesses,
-                "ticks": stats.ticks,
-                "work_instructions": stats.work_instructions,
-                "cycles": stats.cycles,
-            }
-        report = system.report()
-        if monitor is not None:
-            monitor.check_now()
-            report["invariants"] = monitor.summary()
-        if job.collect_metrics:
-            report["metrics"] = payload["metrics"] = system.metrics_snapshot()
+        try:
+            service = job.service
+            if service is not None and service.spans:
+                from repro.obs import SpanLedger
+
+                # Hang the ledger before the monitor attaches so its
+                # checker list includes the span-bookkeeping law.
+                system.spans = SpanLedger(
+                    system.probes, k_slowest=service.span_exemplars
+                )
+            if monitor is not None:
+                monitor.attach(system)
+            threads = job.config.threads_per_core
+            if job.app is not None:
+                operations = install_application(system, job.app, job.params, threads)
+                ticks = system.run_to_completion(limit_ticks=_RUN_LIMIT_TICKS)
+                payload = {"kind": "application", "ticks": ticks, "operations": operations}
+            elif service is not None:
+                state = install_service(
+                    system,
+                    service.store_params(),
+                    service.open_loop,
+                    service.workers_per_core,
+                    spans=system.spans,
+                )
+                stats = system.run_window(job.window.warmup_ticks, job.window.measure_ticks)
+                payload = {"kind": "service", **service_payload(service, state, system, stats)}
+            else:
+                install_microbench(system, job.spec, threads)
+                stats = system.run_window(job.window.warmup_ticks, job.window.measure_ticks)
+                payload = {
+                    "kind": "microbench",
+                    "work_ipc": stats.work_ipc,
+                    "accesses": stats.accesses,
+                    "ticks": stats.ticks,
+                    "work_instructions": stats.work_instructions,
+                    "cycles": stats.cycles,
+                }
+            report = system.report()
+            if monitor is not None:
+                monitor.check_now()
+                report["invariants"] = monitor.summary()
+            if job.collect_metrics:
+                report["metrics"] = payload["metrics"] = system.metrics_snapshot()
+        finally:
+            # The finished system outlives this call in reference
+            # cycles (link receivers, pending events, suspended
+            # processes) until the collector's next full pass; emptying
+            # its memory frees the job's pages now.
+            system.world.clear()
     payload["kernel_stats"] = kernel.stats()
     return JobRun(job, payload, report)
 
@@ -692,19 +704,20 @@ class SweepEngine:
         ``owned`` directory, else one subdirectory of ``queue_dir`` per
         distinct sweep spec -- and return previously ``failed`` jobs to
         pending so a resume retries them."""
-        from repro.obs.runlog import git_sha
-
-        root = owned
+        root, sha = owned, None
         if root is None:
+            from repro.obs.runlog import git_sha
+
             digest = coordinator.spec_digest(name, self.salt, keys)
             root = Path(self.queue_dir) / f"{name}-{digest[:12]}"
+            sha = git_sha()
         queue = coordinator.WorkQueue.ensure(
             root,
             name=name,
             salt=self.salt,
             model_version=MODEL_VERSION,
             keys=keys,
-            git_sha=None if owned else git_sha(),
+            git_sha=sha,
         )
         for key in keys:
             queue.clear_failure(key)
@@ -778,11 +791,15 @@ class SweepEngine:
         pool = self.jobs if len(pending) > 1 else 1
         # Fork where available: cheap, and the workers inherit the
         # loaded model (and monkeypatches, which the fault-injection
-        # tests rely on).
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
+        # tests rely on).  Only a pool loads multiprocessing.
+        context = None
+        if pool > 1:
+            import multiprocessing
+
+            context = multiprocessing.get_context(
+                "fork" if "fork" in multiprocessing.get_all_start_methods()
+                else None
+            )
         workers: dict = {}
         dead: set = set()
         seen: dict = {}  # (holder, acquired_at) -> monotonic claim time

@@ -144,6 +144,17 @@ class FlatMemory:
         """
         return self._written
 
+    def clear(self) -> None:
+        """Drop every page: the memory reads as zero again and
+        :meth:`word_count` is back to 0.
+
+        The sweep harness calls this when a job ends, so the job's
+        pages are freed at once even while the rest of its system
+        waits in reference cycles for the collector.
+        """
+        self._pages.clear()
+        self._written = 0
+
     @staticmethod
     def word_from_line(line_addr: int, line_data: bytes, addr: int) -> int:
         """Extract the word at ``addr`` from a line's byte content."""

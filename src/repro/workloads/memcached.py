@@ -71,6 +71,8 @@ class KvStore:
         self.world = world
         self._entries_base = base_addr + params.buckets * WORD_BYTES
         self._values_base = self._entries_base + params.items * _ENTRY_BYTES
+        #: Entries stored so far; the next fill numbers its entries on.
+        self.stored = 0
         self.max_chain = 0
 
     @staticmethod
@@ -98,6 +100,8 @@ class KvStore:
     def populate(self, keys) -> None:
         """Insert every key (untimed setup).  Chains push at head.
 
+        Entries are numbered on from those already stored, so a second
+        fill adds to the first; ``items`` bounds the running total.
         The value region is written in one bulk pass; only the entry
         words and the bucket heads are written key by key.
         """
@@ -105,24 +109,27 @@ class KvStore:
 
         keys = list(keys)
         params = self.params
-        if len(keys) > params.items:
+        first = self.stored
+        if first + len(keys) > params.items:
             raise ConfigError(
-                f"{len(keys)} keys overflow a store of {params.items} items"
+                f"{len(keys)} keys on top of {first} overflow a store of "
+                f"{params.items} items"
             )
         world = self.world
         key_words = np.array(keys, dtype=np.uint64)
         word_index = np.arange(params.value_bytes // WORD_BYTES, dtype=np.uint64)
         # value_word(key, i) of every key's words, key by key.
         values = mix64_array(key_words[:, None] * np.uint64(31) + word_index)
-        world.write_words(self._values_base, values.ravel())
+        world.write_words(self._value_addr(first), values.ravel())
         buckets = (mix64_array(key_words) % np.uint64(params.buckets)).astype(np.int64)
-        for index, (key, bucket) in enumerate(zip(keys, buckets.tolist())):
+        for index, (key, bucket) in enumerate(zip(keys, buckets.tolist()), first):
             bucket_addr = self.base_addr + bucket * WORD_BYTES
             entry = self._entry_addr(index)
             world.write_word(entry + _ENTRY_KEY, key)
             world.write_word(entry + _ENTRY_VALUE, self._value_addr(index))
             world.write_word(entry + _ENTRY_NEXT, world.read_word(bucket_addr))
             world.write_word(bucket_addr, entry)
+        self.stored += len(keys)
         chains = np.bincount(buckets, minlength=1)
         self.max_chain = max(self.max_chain, int(chains.max()))
 

@@ -2,7 +2,12 @@
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,7 @@ from repro.harness import sweep as sweep_mod
 from repro.harness.applications import default_params
 from repro.harness.experiment import MeasureWindow
 from repro.harness.figures import Series
+from repro.harness.service import ServiceParams
 from repro.harness.sweep import (
     MODEL_VERSION,
     ResultCache,
@@ -31,6 +37,8 @@ from repro.harness.sweep import (
     job_digest,
     normalized,
 )
+from repro.workloads.loadgen import ArrivalSpec, OpenLoopSpec
+from repro.workloads.memcached import MemcachedParams
 from repro.workloads.microbench import MicrobenchSpec
 
 #: Small enough that one job simulates in ~10 ms.
@@ -511,3 +519,94 @@ def test_serial_sweep_leaves_no_temp_files(tmp_path, monkeypatch):
         "error_type": "ValueError", "worker": outcome.payload["worker"],
     }
     assert list(temp_root.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# A finished job's memory is released
+# ---------------------------------------------------------------------------
+
+def test_run_job_releases_the_finished_jobs_memory(monkeypatch):
+    """A finished job's system outlives ``run_job`` in reference cycles
+    until the collector's next full pass, so ``run_job`` empties its
+    memory on the way out; the payload is the same either way."""
+    jobs = [
+        SweepJob(
+            config=SystemConfig(
+                mechanism=AccessMechanism.SOFTWARE_QUEUE, threads_per_core=8
+            ),
+            service=ServiceParams(
+                open_loop=OpenLoopSpec(arrivals=ArrivalSpec(rate_per_us=0.2))
+            ),
+            window=MeasureWindow(warmup_us=5.0, measure_us=30.0),
+        ),
+        SweepJob(
+            config=SystemConfig(
+                mechanism=AccessMechanism.PREFETCH, threads_per_core=2
+            ),
+            app="memcached",
+            params=MemcachedParams(items=256, buckets=256, gets_per_thread=4),
+        ),
+    ]
+    expected = [sweep_mod.run_job(job).payload for job in jobs]
+    built, filled = [], []
+
+    class RecordingSystem(sweep_mod.System):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def report(self):
+            filled.append(self.world.word_count())
+            return super().report()
+
+    monkeypatch.setattr(sweep_mod, "System", RecordingSystem)
+    for job, payload in zip(jobs, expected):
+        assert sweep_mod.run_job(job).payload == payload
+        world = built[-1].world
+        assert filled[-1] > 0, f"{job.describe()} wrote no memory"
+        assert world.word_count() == 0
+        assert world._pages == {}
+
+
+#: Run in a fresh interpreter: this one has loaded every module.
+_SWEEP_IMPORTS = textwrap.dedent('''
+    import sys
+
+    import repro.harness.sweep as sweep
+    from repro.config import SystemConfig
+    from repro.harness.experiment import MeasureWindow
+    from repro.workloads.microbench import MicrobenchSpec
+
+    job = sweep.SweepJob(
+        config=SystemConfig(threads_per_core=2),
+        spec=MicrobenchSpec(work_count=50),
+        window=MeasureWindow(warmup_us=1.0, measure_us=4.0),
+    )
+    [outcome] = sweep.SweepEngine(jobs=1, use_cache=False).run([job])
+    assert not outcome.failed, outcome.error
+    unused = (
+        "repro.obs",
+        "repro.harness.analytic",
+        "repro.harness.figures",
+        "repro.harness.regression",
+        "repro.harness.report",
+        "multiprocessing",
+    )
+    print(" ".join(name for name in unused if name in sys.modules))
+''')
+
+
+def test_a_microbenchmark_sweep_imports_only_what_it_runs(tmp_path):
+    """A serial sweep of a microbenchmark job loads no observability,
+    figure or report code and no process pool."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(tmp_path))
+    result = subprocess.run(
+        [sys.executable, "-c", _SWEEP_IMPORTS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []

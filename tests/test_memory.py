@@ -91,6 +91,17 @@ def test_word_count_counts_each_word_once():
     assert memory.word_count() == 2
 
 
+def test_clear_drops_every_page():
+    memory = FlatMemory()
+    memory.write_words(0, range(1, 200))
+    memory.write_word(1 << 40, 2)
+    memory.clear()
+    assert (memory.word_count(), memory._pages) == (0, {})
+    assert memory.read_line(0) == bytes(64)
+    memory.write_word(8, 3)
+    assert (memory.word_count(), memory.read_word(8)) == (1, 3)
+
+
 def test_line_size_must_be_word_multiple():
     with pytest.raises(AddressError):
         FlatMemory(line_bytes=60)

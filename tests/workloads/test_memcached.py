@@ -112,6 +112,42 @@ def test_populate_rejects_more_keys_than_items():
         store.populate(range(5))
     assert world.word_count() == 0
     assert store.max_chain == 0
+    # The bound is on the running total of every fill.
+    store.populate(range(3))
+    words = world.word_count()
+    with pytest.raises(ConfigError):
+        store.populate(range(3, 5))
+    assert (world.word_count(), store.stored) == (words, 3)
+
+
+@pytest.mark.parametrize(
+    "params, fills",
+    [
+        (MemcachedParams(items=16, buckets=16), [range(0, 8), range(8, 16)]),
+        (MemcachedParams(items=80, buckets=9, value_bytes=64), [range(40), range(40)]),
+    ],
+    ids=["disjoint", "same-keys"],
+)
+def test_second_fill_keeps_the_first(params, fills):
+    """Each fill numbers its entries after the last's: every entry sits
+    on one loop-free chain, every key of either fill is found, and a
+    missing key's walk ends."""
+    store = KvStore(params, 0, FlatMemory())
+    for keys in fills:
+        store.populate(keys)
+    assert store.stored == sum(len(keys) for keys in fills)
+    chained = []
+    for bucket in range(params.buckets):
+        entry = store.world.read_word(store.base_addr + bucket * WORD_BYTES)
+        while entry:
+            assert entry not in chained, f"bucket {bucket}'s chain loops"
+            chained.append(entry)
+            entry = store.world.read_word(entry + 16)
+    assert len(chained) == store.stored
+    words = params.value_bytes // WORD_BYTES
+    for key in set().union(*fills):
+        assert store.get_functional(key) == [value_word(key, i) for i in range(words)]
+    assert store.get_functional(10**6) is None
 
 
 # -- the bulk fill leaves the word-by-word image ---------------------------------
@@ -121,7 +157,10 @@ def reference_populate(store: KvStore, keys) -> None:
     """The word-by-word fill that bulk ``populate`` replaced."""
     world = store.world
     chain_len: dict[int, int] = {}
-    for index, key in enumerate(keys):
+    keys = list(keys)
+    first = store.stored
+    store.stored += len(keys)
+    for index, key in enumerate(keys, first):
         bucket_addr = store._bucket_addr(key)
         entry = store._entry_addr(index)
         world.write_word(entry, key)
@@ -169,9 +208,10 @@ def _fill_both(params: MemcachedParams, bases, key_counts):
         (MemcachedParams(items=1, buckets=1), [4096], [1]),
         (MemcachedParams(items=1, buckets=5, value_bytes=64), [0], [1]),
         (MemcachedParams(items=40, buckets=7, value_bytes=128), [0, 1 << 20], [40]),
-        # A second fill chains onto the first fill's bucket heads, and
-        # max_chain keeps the longest chain of either.
-        (MemcachedParams(items=40, buckets=9, value_bytes=64), [64], [40, 40, 6]),
+        # A second fill numbers its entries after the first's and
+        # chains onto its bucket heads, and max_chain keeps the longest
+        # chain of any one fill.
+        (MemcachedParams(items=86, buckets=9, value_bytes=64), [64], [40, 40, 6]),
     ],
     ids=["buckets<items", "value_bytes=64", "items=1", "odd-buckets", "two-stores", "refill"],
 )
