@@ -5,20 +5,30 @@
     python -m repro run --mechanism prefetch --threads 10 --latency-us 1
     python -m repro run --mechanism software-queue --threads 24 --cores 4
     python -m repro figure fig3 --scale quick --jobs 4 --check-invariants
-    python -m repro sweep fig3 --scale full --jobs 8 --progress
-    python -m repro sweep fig3 --queue .repro_queue --jobs 4   # durable
-    python -m repro sweep fig3 --resume                        # after ^C
-    python -m repro sweep-worker --queue .repro_queue --watch  # extra host
+    python -m repro figure fig3 --scale full --jobs 8 --progress --stats
+    python -m repro figure fig3 --queue .repro_queue --jobs 4   # durable
+    python -m repro figure fig3 --resume                        # after ^C
+    python -m repro sweep-worker --queue .repro_queue --watch   # extra host
     python -m repro trace --figure fig7 --out trace.json --tracks swq,pcie
     python -m repro app memcached --mechanism prefetch --threads 8
     python -m repro runs list
     python -m repro runs diff -2 -1
     python -m repro list
 
-Every ``run``/``figure``/``sweep``/``app``/``profile``/``trace``
+There are two kinds of command.  A *job command* (``run``, ``app``,
+``serve``, ``explain``, ``trace``, ``profile microbench``) builds one
+:class:`~repro.harness.sweep.SweepJob` from its flags (:func:`_job`)
+and runs it.  A *grid command* (``figure``, ``profile FIG``) runs one
+figure's grid through the sweep engine; ``figure --stats`` also
+reports the engine's execution and cache statistics.
+
+Every job command, ``figure``, ``profile`` and ``sweep-worker``
 invocation appends a provenance record to ``.repro_runs/ledger.jsonl``
-(disable with ``REPRO_NO_LEDGER=1``, relocate with ``REPRO_RUNS_DIR``);
-``repro runs list/show/diff`` inspects it.
+(disable with ``REPRO_NO_LEDGER=1``, relocate with ``REPRO_RUNS_DIR``).
+A job command's ``config_digest`` is the
+:func:`~repro.harness.sweep.job_digest` of its job, the key the result
+cache and the work queue use too.  ``repro runs list/show/diff``
+inspects the ledger.
 """
 
 from __future__ import annotations
@@ -34,16 +44,18 @@ from repro.config import (
     CpuConfig,
     DeviceAttachment,
     DeviceConfig,
+    SwqConfig,
     SystemConfig,
     UncoreConfig,
 )
-from repro.config import stable_digest
 from repro.errors import SimulationError
 from repro.harness.applications import APPLICATIONS, default_params
 from repro.harness.experiment import MeasureWindow
 from repro.harness.figures import ALL_FIGURES
 from repro.harness.report import render_chart, render_table, to_csv
-from repro.harness.sweep import MODEL_VERSION, SweepEngine, SweepJob, normalized, run_job
+from repro.harness.sweep import (
+    MODEL_VERSION, SweepEngine, SweepJob, job_digest, normalized, run_job,
+)
 from repro import units
 from repro.obs import runlog
 from repro.obs.scenarios import TRACE_SCENARIOS
@@ -62,19 +74,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run = commands.add_parser(
-        "run", help="run one microbenchmark configuration"
-    )
-    _add_run_flags(run)
+    def command(name: str, handler, help: str, recorded: bool = True):
+        """A subcommand whose ``handler`` runs it; a ``recorded`` one
+        appends a run-ledger entry."""
+        sub = commands.add_parser(name, help=help)
+        sub.set_defaults(handler=handler, recorded=recorded)
+        return sub
+
+    run = command("run", _command_job, "run one microbenchmark configuration")
+    _add_microbench_flags(run)
     run.add_argument(
         "--metrics", metavar="PATH", default=None,
         help="also write the full metrics-registry snapshot as JSON",
     )
 
-    trace = commands.add_parser(
-        "trace",
-        help="record a tick-accurate Chrome-trace timeline (Perfetto-"
-             "loadable) of one figure's characteristic run",
+    trace = command(
+        "trace", _command_trace,
+        "record a tick-accurate Chrome-trace timeline (Perfetto-"
+        "loadable) of one figure's characteristic run",
     )
     trace.add_argument("--figure", choices=sorted(TRACE_SCENARIOS),
                        default="fig3",
@@ -92,11 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N", help="hard cap on recorded events")
     trace.add_argument("--quick", action="store_true",
                        help="short 5+20 us window (CI smoke runs)")
-    trace.add_argument("--check-invariants", action="store_true",
-                       help="run the online invariant sanitizer alongside "
-                            "the traced run (passive; trace unchanged)")
+    _add_check_invariants(trace)
 
-    figure = commands.add_parser("figure", help="regenerate one paper figure")
+    figure = command("figure", _command_figure, "regenerate one paper figure")
     figure.add_argument("name", choices=sorted(ALL_FIGURES))
     figure.add_argument("--scale", choices=("quick", "full"), default="quick")
     _add_engine_flags(figure)
@@ -104,25 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the series as CSV")
     figure.add_argument("--chart", action="store_true",
                         help="render an ASCII chart as well as the table")
-    figure.add_argument("--save-baseline", metavar="PATH", default=None,
-                        help="save the series as a JSON regression baseline")
-    figure.add_argument("--compare-baseline", metavar="PATH", default=None,
-                        help="diff the run against a stored baseline")
-
-    sweep = commands.add_parser(
-        "sweep",
-        help="run one figure's grid through the parallel sweep engine "
-             "and report execution/cache statistics",
+    figure.add_argument(
+        "--stats", action="store_true",
+        help="also report the sweep engine's statistics: workers, jobs, "
+             "cache hits and misses, simulated jobs, queue and wall time",
     )
-    sweep.add_argument("name", choices=sorted(ALL_FIGURES))
-    sweep.add_argument("--scale", choices=("quick", "full"), default="quick")
-    _add_engine_flags(sweep)
 
-    worker = commands.add_parser(
-        "sweep-worker",
-        help="drain sweep work queues as a standalone worker: point any "
-             "number of these (on any host sharing the filesystem) at "
-             "the --queue directory of an interrupted or running sweep",
+    worker = command(
+        "sweep-worker", _command_sweep_worker,
+        "drain sweep work queues as a standalone worker: point any "
+        "number of these (on any host sharing the filesystem) at "
+        "the --queue directory of an interrupted or running sweep",
     )
     worker.add_argument(
         "--queue", metavar="DIR", required=True,
@@ -162,19 +169,18 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: $REPRO_CACHE_DIR or .repro_cache)",
     )
 
-    serve = commands.add_parser(
-        "serve",
-        help="run the memcached workload as an open-loop service and "
-             "report tail-latency SLO metrics (p50/p99/p999, jitter)",
+    serve = command(
+        "serve", _command_job,
+        "run the memcached workload as an open-loop service and "
+        "report tail-latency SLO metrics (p50/p99/p999, jitter)",
     )
     _add_service_flags(serve)
 
-    explain = commands.add_parser(
-        "explain",
-        help="run the open-loop service with request-scoped spans and "
-             "attribute tail latency to layers (queue / sq / device / "
-             "cq / work), with exemplar span trees for the slowest "
-             "requests",
+    explain = command(
+        "explain", _command_job,
+        "run the open-loop service with request-scoped spans and "
+        "attribute tail latency to layers (queue / sq / device / "
+        "cq / work), with exemplar span trees for the slowest requests",
     )
     _add_service_flags(explain)
     explain.add_argument(
@@ -194,19 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
              "https://ui.perfetto.dev)",
     )
 
-    app = commands.add_parser("app", help="run one application study")
+    app = command("app", _command_job, "run one application study")
     app.add_argument("name", choices=sorted(APPLICATIONS))
-    app.add_argument("--mechanism", choices=sorted(_MECHANISMS), default="prefetch")
-    app.add_argument("--threads", type=int, default=8)
-    app.add_argument("--cores", type=int, default=1)
-    app.add_argument("--latency-us", type=float, default=1.0)
-    app.add_argument("--check-invariants", action="store_true",
-                     help="run the online invariant sanitizer alongside "
-                          "the simulation (passive; results unchanged)")
+    _add_job_flags(app, "prefetch", threads=8)
 
-    runs = commands.add_parser(
-        "runs",
-        help="inspect the provenance ledger (.repro_runs/ledger.jsonl)",
+    runs = command(
+        "runs", _command_runs,
+        "inspect the provenance ledger (.repro_runs/ledger.jsonl)",
+        recorded=False,
     )
     runs_sub = runs.add_subparsers(dest="runs_command", required=True)
     runs_list = runs_sub.add_parser("list", help="list recorded runs")
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs_diff = runs_sub.add_parser(
         "diff",
         help="diff two recorded runs (figure series, kernel stats, "
-             "digests); exits 1 on any deviation",
+             "results, digests); exits 1 on any deviation",
     )
     runs_diff.add_argument("a", help=f"baseline run (index or {prefix_help})")
     runs_diff.add_argument("b", help=f"current run (index or {prefix_help})")
@@ -229,10 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     runs_diff.add_argument("--atol", type=float, default=0.0,
                            help="absolute tolerance (default 0: exact)")
 
-    profile = commands.add_parser(
-        "profile",
-        help="run a figure or microbench under cProfile and report "
-             "kernel counters (events fired, bypass ratio, events/sec)",
+    profile = command(
+        "profile", _command_profile,
+        "run a figure or microbench under cProfile and report "
+        "kernel counters (events fired, bypass ratio, events/sec)",
     )
     profile.add_argument(
         "target", choices=sorted(ALL_FIGURES) + ["microbench"],
@@ -244,24 +245,66 @@ def build_parser() -> argparse.ArgumentParser:
                          help="profile rows to print (default 15)")
     profile.add_argument("--sort", choices=("tottime", "cumulative"),
                          default="tottime", help="pstats sort key")
-    _add_run_flags(profile)
+    _add_microbench_flags(profile)
 
-    lint = commands.add_parser(
-        "lint",
-        help="run simlint, the static analyzer enforcing the "
-             "determinism/kernel/units/observability contracts",
+    lint = command(
+        "lint", _command_lint,
+        "run simlint, the static analyzer enforcing the "
+        "determinism/kernel/units/observability contracts",
+        recorded=False,
     )
     from repro.analysis import add_lint_arguments
 
     add_lint_arguments(lint)
 
-    commands.add_parser("list", help="list figures and applications")
-    commands.add_parser("table1", help="print the paper's Table I taxonomy")
+    command("list", _command_list, "list figures and applications", recorded=False)
+    command("table1", _command_table1, "print the paper's Table I taxonomy",
+            recorded=False)
     return parser
+
+
+def _add_check_invariants(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--check-invariants", action="store_true",
+                        help="run the online invariant sanitizer alongside every simulation "
+                             "(passive: results unchanged, but cached separately)")
+
+
+def _add_job_flags(parser: argparse.ArgumentParser, mechanism: str,
+                   threads: int, window: Optional[tuple] = None,
+                   per_core: str = "--threads") -> None:
+    """The flags every job command shares: mechanism, threads per core
+    (``--workers``, a service's polling workers), cores, device
+    latency, the measurement window and ``--check-invariants``."""
+    parser.add_argument("--mechanism", choices=sorted(_MECHANISMS), default=mechanism)
+    what = "polling service workers" if per_core == "--workers" else "threads"
+    parser.add_argument(per_core, dest="threads", type=int, default=threads,
+                        help=f"{what} per core (default {threads})")
+    parser.add_argument("--cores", type=int, default=1)
+    parser.add_argument("--latency-us", type=float, default=1.0)
+    if window is not None:
+        parser.add_argument("--warmup-us", type=float, default=window[0])
+        parser.add_argument("--measure-us", type=float, default=window[1])
+    _add_check_invariants(parser)
+
+
+def _add_microbench_flags(parser: argparse.ArgumentParser) -> None:
+    """One microbenchmark configuration: ``run`` and ``profile``."""
+    _add_job_flags(parser, "prefetch", threads=10, window=(30.0, 100.0))
+    parser.add_argument("--work", type=int, default=200,
+                        help="work instructions per access")
+    parser.add_argument("--mlp", type=int, default=1, help="reads per batch (1/2/4)")
+    parser.add_argument("--writes", type=int, default=0, help="posted writes per batch")
+    parser.add_argument("--lfb", type=int, default=10, help="line-fill buffers per core")
+    parser.add_argument("--chip-queue", type=int, default=14,
+                        help="shared chip-level queue entries (PCIe path)")
+    parser.add_argument("--smt", type=int, default=1, choices=(1, 2, 4))
+    parser.add_argument("--attachment", choices=sorted(_ATTACHMENTS), default="pcie")
 
 
 def _add_service_flags(parser: argparse.ArgumentParser) -> None:
     """Open-loop service flags shared by ``serve`` and ``explain``."""
+    _add_job_flags(parser, "software-queue", threads=8, window=(40.0, 400.0),
+                   per_core="--workers")
     parser.add_argument("--rate", type=float, default=0.2, metavar="R",
                         help="offered load, requests/us per core (default 0.2)")
     parser.add_argument("--arrivals", choices=("poisson", "mmpp"),
@@ -276,48 +319,15 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
                         help="Zipfian key skew in [0, 1); 0 = uniform")
     parser.add_argument("--items", type=int, default=2048,
                         help="key-value store size (and key space)")
-    parser.add_argument("--mechanism", choices=sorted(_MECHANISMS),
-                        default="software-queue")
-    parser.add_argument("--workers", type=int, default=8,
-                        help="polling service workers per core (default 8)")
-    parser.add_argument("--cores", type=int, default=1)
-    parser.add_argument("--latency-us", type=float, default=1.0)
     parser.add_argument("--ring", type=int, default=None, metavar="N",
                         help="SWQ ring entries per core (power of two; "
                              "default: config default)")
     parser.add_argument("--seed", type=int, default=1,
                         help="load-generator seed (arrivals and keys)")
-    parser.add_argument("--warmup-us", type=float, default=40.0)
-    parser.add_argument("--measure-us", type=float, default=400.0)
-    parser.add_argument("--check-invariants", action="store_true",
-                        help="run the online invariant sanitizer alongside "
-                             "the simulation (passive; results unchanged)")
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """Microbench-configuration flags shared by ``run`` and ``profile``."""
-    parser.add_argument("--mechanism", choices=sorted(_MECHANISMS), default="prefetch")
-    parser.add_argument("--threads", type=int, default=10, help="threads per core")
-    parser.add_argument("--cores", type=int, default=1)
-    parser.add_argument("--latency-us", type=float, default=1.0)
-    parser.add_argument("--work", type=int, default=200,
-                        help="work instructions per access")
-    parser.add_argument("--mlp", type=int, default=1, help="reads per batch (1/2/4)")
-    parser.add_argument("--writes", type=int, default=0, help="posted writes per batch")
-    parser.add_argument("--lfb", type=int, default=10, help="line-fill buffers per core")
-    parser.add_argument("--chip-queue", type=int, default=14,
-                        help="shared chip-level queue entries (PCIe path)")
-    parser.add_argument("--smt", type=int, default=1, choices=(1, 2, 4))
-    parser.add_argument("--attachment", choices=sorted(_ATTACHMENTS), default="pcie")
-    parser.add_argument("--warmup-us", type=float, default=30.0)
-    parser.add_argument("--measure-us", type=float, default=100.0)
-    parser.add_argument("--check-invariants", action="store_true",
-                        help="run the online invariant sanitizer alongside "
-                             "the simulation (passive; results unchanged)")
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """Sweep-engine flags shared by ``figure`` and ``sweep``."""
+    """Sweep-engine flags of ``figure``."""
     parser.add_argument(
         "--jobs", type=int, metavar="N",
         help="worker processes for the sweep (default: $REPRO_SWEEP_JOBS or 1)",
@@ -331,11 +341,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", metavar="DIR",
         help="result-cache directory (default: $REPRO_CACHE_DIR or .repro_cache)",
     )
-    parser.add_argument(
-        "--check-invariants", action="store_true",
-        help="run the online invariant sanitizer inside every sweep job "
-             "(passive; series unchanged, but cached separately)",
-    )
+    _add_check_invariants(parser)
     parser.add_argument(
         "--progress", action="store_true",
         help="render live per-job progress (done/total, cache hits, "
@@ -366,131 +372,137 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _engine_from_args(args: argparse.Namespace) -> SweepEngine:
-    """The sweep engine: given flags win, the environment
-    (:meth:`SweepEngine.from_env`) supplies the rest."""
-    progress = None
-    if args.progress:
-        from repro.harness.progress import SweepProgress
-
-        progress = SweepProgress()
-    engine = SweepEngine.from_env(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=False if args.no_cache else None,
-        check_invariants=args.check_invariants,
-        progress=progress,
-        queue_dir=args.queue,
-        timeout_s=args.timeout_s,
-        retries=args.retries,
-    )
-    if args.resume and engine.queue_dir is None:
-        engine.queue_dir = ".repro_queue"
-    return engine
+# -- job commands -------------------------------------------------------------
 
 
-def _system_config(args: argparse.Namespace) -> SystemConfig:
-    return SystemConfig(
+def _job(args: argparse.Namespace) -> SweepJob:
+    """The one job a job command runs, built from its flags."""
+    check = args.check_invariants
+    if args.command == "trace":
+        job = TRACE_SCENARIOS[args.figure]
+        if args.quick:
+            job = replace(job, window=MeasureWindow(warmup_us=5.0, measure_us=20.0))
+        return replace(job, check_invariants=check)
+    hardware = {"device": DeviceConfig(total_latency_us=args.latency_us)}
+    if args.command == "app":
+        work = {"app": args.name, "params": default_params(args.name)}
+    elif args.command in ("serve", "explain"):
+        from repro.harness.service import ServiceParams
+        from repro.workloads.loadgen import ArrivalKind, ArrivalSpec, KeySpec, OpenLoopSpec
+
+        if args.ring is not None:
+            hardware["swq"] = SwqConfig(ring_entries=args.ring)
+        arrivals = ArrivalSpec(
+            kind=ArrivalKind(args.arrivals), rate_per_us=args.rate,
+            burst_ratio=args.burst_ratio, burst_fraction=args.burst_fraction,
+            mean_dwell_us=args.dwell_us,
+        )
+        keys = KeySpec(items=args.items, theta=args.theta)
+        service = ServiceParams(
+            open_loop=OpenLoopSpec(arrivals=arrivals, keys=keys, seed=args.seed),
+            items=args.items, workers_per_core=args.threads,
+        )
+        if args.command == "explain":
+            service = replace(service, spans=True, span_exemplars=args.top)
+        work = {"service": service}
+    else:
+        hardware = {
+            "cpu": CpuConfig(lfb_entries=args.lfb, smt_contexts=args.smt),
+            "uncore": UncoreConfig(pcie_queue_entries=args.chip_queue),
+            "device": DeviceConfig(
+                total_latency_us=args.latency_us, attachment=_ATTACHMENTS[args.attachment]
+            ),
+        }
+        work = {
+            "spec": MicrobenchSpec(
+                work_count=args.work, reads_per_batch=args.mlp, writes_per_batch=args.writes
+            ),
+            "collect_metrics": bool(getattr(args, "metrics", None)),
+        }
+    if args.command != "app":
+        work["window"] = MeasureWindow(warmup_us=args.warmup_us, measure_us=args.measure_us)
+    config = SystemConfig(
         mechanism=_MECHANISMS[args.mechanism],
         cores=args.cores,
         threads_per_core=args.threads,
-        cpu=CpuConfig(lfb_entries=args.lfb, smt_contexts=args.smt),
-        uncore=UncoreConfig(pcie_queue_entries=args.chip_queue),
-        device=DeviceConfig(
-            total_latency_us=args.latency_us,
-            attachment=_ATTACHMENTS[args.attachment],
-        ),
+        **hardware,
+    )
+    return SweepJob(config=config, check_invariants=check, **work)
+
+
+#: Payload sections a ledger entry keeps as a digest (``<name>_digest``)
+#: rather than in full.
+_DIGESTED = ("metrics", "exemplars")
+
+
+def _record_job(record: Optional[dict], job: SweepJob, payload: dict,
+                value: Optional[float] = None) -> None:
+    """The ledger rule of every job command.
+
+    The job's identity is its :func:`job_digest`, the key of the result
+    cache and the work queue.  ``results`` holds the payload's results
+    (plus the normalized value when the command normalizes), and each
+    bulky section is kept as a top-level digest that ``runs diff``
+    compares.
+    """
+    if record is None:
+        return
+    record["config_digest"] = job_digest(job)
+    record["check_invariants"] = job.check_invariants
+    if job.app is not None:
+        record["app"] = job.app
+    skipped = ("kind", "kernel_stats", *_DIGESTED)
+    record["results"] = {
+        key: item for key, item in payload.items() if key not in skipped
+    }
+    if value is not None:
+        record["results"]["normalized"] = value
+    for section in _DIGESTED:
+        if section in payload:
+            record[f"{section}_digest"] = runlog.digest_of(payload[section])
+
+
+def _command_job(args: argparse.Namespace, out, record=None) -> int:
+    """``run``, ``app``, ``serve`` and ``explain``: build the job, run
+    it, record it and print it."""
+    job = _job(args)
+    value = tracer = None
+    if job.kind == "service":
+        if getattr(args, "trace_out", None):
+            from repro.obs import TraceConfig, Tracer
+
+            tracer = Tracer(
+                TraceConfig(tracks=frozenset({"service", "swq", "spans"}))
+            )
+        run = run_job(job, tracer)
+    else:
+        value, run = normalized(job)
+    _record_job(record, job, run.payload, value)
+    _PRINTERS[job.kind](args, run, value, out)
+    if tracer is None:
+        return 0
+    from repro.obs import PID_SERVICE
+    from repro.obs.spans import emit_exemplar_trace
+
+    trees = emit_exemplar_trace(tracer, run.payload["exemplars"], PID_SERVICE)
+    return _write_trace(
+        tracer, args.trace_out, out, record,
+        f"{trees} exemplar span trees over {tracer.summary()['events']} events; ",
     )
 
 
-def _command_run(args: argparse.Namespace, out, record=None) -> int:
-    config = _system_config(args)
-    spec = MicrobenchSpec(
-        work_count=args.work,
-        reads_per_batch=args.mlp,
-        writes_per_batch=args.writes,
-    )
-    window = MeasureWindow(warmup_us=args.warmup_us, measure_us=args.measure_us)
-    value, run = normalized(SweepJob(
-        config=config, spec=spec, window=window,
-        collect_metrics=bool(args.metrics),
-        check_invariants=args.check_invariants,
-    ))
-    payload, report = run.payload, run.report
-    if record is not None:
-        record["config_digest"] = stable_digest(config, spec, window)
-        record["check_invariants"] = args.check_invariants
-        record["results"] = {
-            "normalized": value,
-            "work_ipc": payload["work_ipc"],
-            "accesses": payload["accesses"],
-        }
-        if args.metrics:
-            record["metrics_digest"] = runlog.digest_of(report["metrics"])
-    print(f"configuration : {config.describe()}", file=out)
-    print(f"work-count    : {spec.work_count}  (MLP {spec.reads_per_batch}, "
-          f"{spec.writes_per_batch} writes/iter)", file=out)
-    print(f"work IPC      : {payload['work_ipc']:.4f}", file=out)
-    print(f"normalized    : {value:.4f}  (vs 1-thread DRAM baseline)", file=out)
-    print(f"accesses      : {payload['accesses']} in "
-          f"{units.to_us(payload['ticks']):.0f} us", file=out)
-    print(f"LFB peak      : {max(report['lfb_max_per_core'])} / {args.lfb}", file=out)
-    print(f"chip-q peak   : {report['uncore_pcie_max']} / {args.chip_queue}", file=out)
-    # The link counts wire bytes from time zero, so divide by the
-    # whole run, warmup included.
-    run_ticks = window.warmup_ticks + payload["ticks"]
-    up = report["pcie_up_wire_bytes"] / units.to_seconds(run_ticks) / units.GB
-    print(f"PCIe upstream : {up:.2f} GB/s on the wire (whole run)", file=out)
-    if args.metrics:
-        import json
-
-        with open(args.metrics, "w") as handle:
-            json.dump(report["metrics"], handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"metrics       : {len(report['metrics'])} probes written to "
-              f"{args.metrics}", file=out)
-    return 0
-
-
-def _command_trace(args: argparse.Namespace, out, record=None) -> int:
-    from repro.obs import TraceConfig, Tracer
-    from repro.obs.scenarios import trace_scenario
+def _write_trace(tracer, path: str, out, record, detail: str = "") -> int:
+    """Write ``tracer``'s trace to ``path``, record its digest and
+    validate it: 1 when the trace breaks the schema, else 0."""
     from repro.obs.validate import validate_trace
 
-    scenario = trace_scenario(args.figure)
-    window = scenario.window
-    if args.quick:
-        window = MeasureWindow(warmup_us=5.0, measure_us=20.0)
-    trace_config = TraceConfig.from_track_list(
-        args.tracks, sample_every=args.sample, max_events=args.max_events
-    )
-    tracer = Tracer(trace_config)
-    job = replace(scenario, window=window, check_invariants=args.check_invariants)
-    work_ipc = run_job(job, tracer).payload["work_ipc"]
-    tracer.write(args.out)
-    summary = tracer.summary()
+    tracer.write(path)
+    trace = tracer.to_dict()
     if record is not None:
-        record["scenario"] = args.figure
-        record["config_digest"] = stable_digest(job.config, job.spec, window)
-        record["check_invariants"] = args.check_invariants
-        record["results"] = {
-            "work_ipc": work_ipc,
-            "events": summary["events"],
-            "dropped": summary["dropped"],
-        }
-        record["trace_digest"] = runlog.digest_of(tracer.to_dict())
-    print(f"scenario      : {args.figure} -- {job.label}", file=out)
-    print(f"configuration : {job.config.describe()}", file=out)
-    print(f"window        : {window.warmup_us:g} us warmup + "
-          f"{window.measure_us:g} us measured", file=out)
-    print(f"work IPC      : {work_ipc:.4f}", file=out)
-    print(f"events        : {summary['events']} recorded, "
-          f"{summary['dropped']} dropped", file=out)
-    for track, count in summary["tracks"].items():
-        print(f"  {track:<7}     : {count}", file=out)
-    print(f"trace written : {args.out}  "
-          f"(open at https://ui.perfetto.dev)", file=out)
-    errors = validate_trace(tracer.to_dict())
+        record["trace_digest"] = runlog.digest_of(trace)
+    print(f"trace written : {path}  ({detail}open at https://ui.perfetto.dev)",
+          file=out)
+    errors = validate_trace(trace)
     if errors:
         print(f"INVALID trace : {len(errors)} schema error(s); "
               f"first: {errors[0]}", file=out)
@@ -498,257 +510,38 @@ def _command_trace(args: argparse.Namespace, out, record=None) -> int:
     return 0
 
 
-def _record_figure_result(record, args, figure, engine) -> None:
-    """Stash a figure run's deterministic outputs in its ledger entry."""
-    if record is None:
-        return
-    from repro.harness.regression import figure_to_dict
-
-    payload = figure_to_dict(figure)
-    record["figure"] = {
-        "name": args.name,
-        "scale": args.scale,
-        "payload": payload,
-        "series_digests": {
-            label: runlog.digest_of(points)
-            for label, points in payload["series"].items()
-        },
-    }
-    record["config_digest"] = runlog.digest_of(
-        {"figure": args.name, "scale": args.scale}
-    )
-    record["check_invariants"] = args.check_invariants
-    record["sweep"] = dict(engine.last_stats)
-
-
-def _print_queue_rule(figure, out, record) -> None:
-    """For figA_slo: report whether the section V-B sizing rule held."""
-    from repro.harness.figures import queue_rule_report
-
-    report = queue_rule_report(figure)
-    if record is not None:
-        record["queue_rule"] = report
-    verdict = "HOLDS" if report["holds"] else "VIOLATED"
-    print(f"queue rule    : {report['rule']} -- {verdict}", file=out)
-    for cores in sorted(report["per_cores"]):
-        entry = report["per_cores"][cores]
-        print(f"  {cores} core(s) @ {entry['offered_per_core_us']:g}/us: "
-              f"p99 rule-sized {entry['rule-sized']:.1f} us vs "
-              f"under-rule {entry['under-rule']:.1f} us", file=out)
+def _print_microbench(args: argparse.Namespace, run, value, out) -> None:
+    job, payload, report = run.job, run.payload, run.report
+    spec = job.spec
+    print(f"configuration : {job.config.describe()}", file=out)
+    print(f"work-count    : {spec.work_count}  (MLP {spec.reads_per_batch}, "
+          f"{spec.writes_per_batch} writes/iter)", file=out)
+    print(f"work IPC      : {payload['work_ipc']:.4f}", file=out)
+    print(f"normalized    : {value:.4f}  (vs 1-thread DRAM baseline)", file=out)
+    print(f"accesses      : {payload['accesses']} in "
+          f"{units.to_us(payload['ticks']):.0f} us", file=out)
+    print(f"LFB peak      : {max(report['lfb_max_per_core'])} / "
+          f"{job.config.cpu.lfb_entries}", file=out)
+    print(f"chip-q peak   : {report['uncore_pcie_max']} / "
+          f"{job.config.uncore.pcie_queue_entries}", file=out)
+    # The link counts wire bytes from time zero, so divide by the
+    # whole run, warmup included.
+    run_ticks = job.window.warmup_ticks + payload["ticks"]
+    up = report["pcie_up_wire_bytes"] / units.to_seconds(run_ticks) / units.GB
+    print(f"PCIe upstream : {up:.2f} GB/s on the wire (whole run)", file=out)
+    if args.metrics:
+        _write_json(payload["metrics"], args.metrics)
+        print(f"metrics       : {len(payload['metrics'])} probes written to "
+              f"{args.metrics}", file=out)
 
 
-def _note_interrupt(args: argparse.Namespace, engine: SweepEngine, out,
-                    record) -> int:
-    """A sweep took SIGINT: report what survived and how to resume.
-
-    Returns 130 (the conventional fatal-SIGINT status), which ``main``
-    records in the ledger like any other outcome.
-    """
-    stats = dict(engine.last_stats)
-    if record is not None:
-        record["sweep"] = stats
-    print("interrupted", file=out)
-    queue_info = stats.get("queue") or {}
-    if queue_info.get("dir"):
-        counts = queue_info.get("counts") or {}
-        unresolved = counts.get("pending", 0) + counts.get("leased", 0)
-        print(f"queue         : {queue_info['dir']} "
-              f"({counts.get('done', 0)} done, {unresolved} unresolved, "
-              f"{counts.get('failed', 0)} failed)", file=out)
-        resume = (f"repro {args.command} {args.name} --scale {args.scale}"
-                  f" --queue {engine.queue_dir}")
-        if engine.jobs != 1:
-            resume += f" --jobs {engine.jobs}"
-        print(f"resume with   : {resume}", file=out)
-    else:
-        print("no --queue given: completed jobs survive only in the "
-              "result cache; rerun with --queue DIR (or --resume) for "
-              "a durable, shareable work queue", file=out)
-    return 130
-
-
-def _note_failed_jobs(args: argparse.Namespace, engine: SweepEngine, out,
-                      record) -> int:
-    """Deterministically failing jobs: structured per-job report."""
-    stats = dict(engine.last_stats)
-    if record is not None:
-        record["sweep"] = stats
-    failures = stats.get("failures") or {}
-    print(f"FAILED        : {stats.get('failed', len(failures))} job(s) "
-          f"failed after retries and the in-process fallback; "
-          f"completed results were preserved", file=out)
-    for key, error in sorted(failures.items()):
-        print(f"  {key[:12]}  {error}", file=out)
-    queue_info = stats.get("queue") or {}
-    if queue_info.get("dir"):
-        print(f"queue         : {queue_info['dir']} (failure records in "
-              f"failed/)", file=out)
-    return 1
-
-
-def _command_figure(args: argparse.Namespace, out, record=None) -> int:
-    engine = _engine_from_args(args)
-    try:
-        figure = ALL_FIGURES[args.name](args.scale, engine=engine)
-    except KeyboardInterrupt:
-        return _note_interrupt(args, engine, out, record)
-    except SimulationError:
-        if not engine.last_stats.get("failed"):
-            raise
-        return _note_failed_jobs(args, engine, out, record)
-    _record_figure_result(record, args, figure, engine)
-    print(render_table(figure), file=out)
-    if args.name == "figA_slo":
-        _print_queue_rule(figure, out, record)
-    if args.chart:
-        print(render_chart(figure), file=out)
-    if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(to_csv(figure))
-        print(f"series written to {args.csv}", file=out)
-    if args.save_baseline:
-        from repro.harness.regression import save_baseline
-
-        save_baseline(figure, args.save_baseline)
-        print(f"baseline saved to {args.save_baseline}", file=out)
-    if args.compare_baseline:
-        from repro.harness.regression import compare_to_baseline, load_baseline
-
-        deviations = compare_to_baseline(
-            figure, load_baseline(args.compare_baseline)
-        )
-        if deviations:
-            print(f"{len(deviations)} deviation(s) from baseline:", file=out)
-            for deviation in deviations:
-                print(f"  {deviation.describe()}", file=out)
-            return 1
-        print("matches baseline", file=out)
-    return 0
-
-
-def _command_sweep(args: argparse.Namespace, out, record=None) -> int:
-    engine = _engine_from_args(args)
-    started = time.perf_counter()
-    try:
-        figure = ALL_FIGURES[args.name](args.scale, engine=engine)
-    except KeyboardInterrupt:
-        return _note_interrupt(args, engine, out, record)
-    except SimulationError:
-        if not engine.last_stats.get("failed"):
-            raise
-        return _note_failed_jobs(args, engine, out, record)
-    wall = time.perf_counter() - started
-    _record_figure_result(record, args, figure, engine)
-    print(render_table(figure), file=out)
-    stats = engine.last_stats
-    per_job = engine.probes.latency("sweep-job-wall-ns")
-    cache_note = str(engine.cache.root) if engine.cache else "disabled"
-    print(f"workers       : {engine.jobs}", file=out)
-    print(f"jobs          : {stats['jobs']} submitted, "
-          f"{stats['unique']} unique", file=out)
-    print(f"cache         : {stats['cache_hits']} hits, "
-          f"{stats['cache_misses']} misses ({cache_note})", file=out)
-    print(f"simulated     : {stats['simulated']} jobs "
-          f"({stats['retries']} retries, {stats['fallbacks']} fallbacks)",
-          file=out)
-    queue_info = stats.get("queue") or {}
-    if queue_info.get("dir"):
-        counts = queue_info.get("counts") or {}
-        print(f"queue         : {queue_info['dir']} "
-              f"({stats.get('queue_served', 0)} jobs served from queue "
-              f"records, {counts.get('done', 0)} done, "
-              f"{counts.get('failed', 0)} failed)", file=out)
-        print(f"manifest      : spec {str(queue_info.get('spec_digest'))[:12]} "
-              f"-- inspect with `repro runs show -1`", file=out)
-    if per_job.count:
-        print(f"per-job wall  : {per_job.mean / units.NS_PER_S:.3f} s mean, "
-              f"{(per_job.maximum or 0) / units.NS_PER_S:.3f} s max", file=out)
-    print(f"total wall    : {wall:.2f} s", file=out)
-    if stats.get("failed"):
-        return _note_failed_jobs(args, engine, out, record)
-    return 0
-
-
-def _command_sweep_worker(args: argparse.Namespace, out, record=None) -> int:
-    from repro.harness import coordinator
-
-    cache = SweepEngine.from_env(
-        cache_dir=args.cache_dir,
-        use_cache=False if args.no_cache else None,
-    ).cache
-
-    def on_queue(queue) -> None:
-        manifest = queue.manifest()
-        print(f"queue         : {queue.root} ({manifest.get('name')}, "
-              f"spec {str(manifest.get('spec_digest'))[:12]})", file=out)
-
-    try:
-        totals = coordinator.drain_queue_tree(
-            args.queue,
-            args.worker,
-            cache=cache,
-            lease_s=args.lease_s,
-            max_jobs=args.max_jobs,
-            poll_s=args.poll_s,
-            watch=args.watch,
-            on_queue=on_queue,
-        )
-    except KeyboardInterrupt:
-        print("interrupted: in-flight leases were released (or will "
-              "expire); resolved jobs stay in the queue", file=out)
-        return 130
-    if record is not None:
-        record["worker"] = {"queue_root": str(args.queue), **totals}
-    print(f"queues        : {totals['queues']} drained under {args.queue}",
-          file=out)
-    print(f"claims        : {totals['claims']} ({totals['done']} done, "
-          f"{totals['failed']} failed, {totals['cache_hits']} cache hits)",
-          file=out)
-    return 0
-
-
-def _service_job(args: argparse.Namespace) -> SweepJob:
-    """The service job of a ``serve``/``explain`` invocation."""
-    from repro.config import SwqConfig
-    from repro.harness.service import ServiceParams
-    from repro.workloads.loadgen import (
-        ArrivalKind,
-        ArrivalSpec,
-        KeySpec,
-        OpenLoopSpec,
-    )
-
-    swq = SwqConfig() if args.ring is None else SwqConfig(ring_entries=args.ring)
-    config = SystemConfig(
-        mechanism=_MECHANISMS[args.mechanism],
-        cores=args.cores,
-        threads_per_core=args.workers,
-        device=DeviceConfig(total_latency_us=args.latency_us),
-        swq=swq,
-    )
-    spec = OpenLoopSpec(
-        arrivals=ArrivalSpec(
-            kind=ArrivalKind(args.arrivals),
-            rate_per_us=args.rate,
-            burst_ratio=args.burst_ratio,
-            burst_fraction=args.burst_fraction,
-            mean_dwell_us=args.dwell_us,
-        ),
-        keys=KeySpec(items=args.items, theta=args.theta),
-        seed=args.seed,
-    )
-    params = ServiceParams(
-        open_loop=spec,
-        items=args.items,
-        workers_per_core=args.workers,
-        spans=getattr(args, "top", None) is not None,
-        span_exemplars=getattr(args, "top", None) or 8,
-    )
-    window = MeasureWindow(warmup_us=args.warmup_us, measure_us=args.measure_us)
-    return SweepJob(
-        config=config, service=params, window=window,
-        check_invariants=args.check_invariants,
-    )
+def _print_application(args: argparse.Namespace, run, value, out) -> None:
+    operations, ticks = run.payload["operations"], run.payload["ticks"]
+    print(f"application   : {run.job.app}", file=out)
+    print(f"configuration : {run.job.config.describe()}", file=out)
+    print(f"operations    : {operations}", file=out)
+    print(f"ns / operation: {units.to_ns(ticks / operations):.1f}", file=out)
+    print(f"normalized    : {value:.4f}  (vs 1-thread DRAM baseline)", file=out)
 
 
 def _us(ns: float) -> float:
@@ -756,21 +549,17 @@ def _us(ns: float) -> float:
     return ns / units.US * units.NS
 
 
-def _command_serve(args: argparse.Namespace, out, record=None) -> int:
-    job = _service_job(args)
-    result = run_job(job).payload
-    if record is not None:
-        record["config_digest"] = stable_digest(job.config, job.service, job.window)
-        record["check_invariants"] = args.check_invariants
-        record["results"] = {
-            key: value for key, value in result.items()
-            if key not in ("kind", "kernel_stats")
-        }
-
-    print(f"configuration : {job.config.describe()}", file=out)
+def _print_service(args: argparse.Namespace, run, value, out) -> None:
+    """``serve``'s SLO summary, or ``explain``'s attribution when the
+    job ran with spans."""
+    result = run.payload
+    print(f"configuration : {run.job.config.describe()}", file=out)
     print(f"load          : {args.arrivals} arrivals, "
           f"{result['offered_per_core_us']:g} req/us/core offered, "
           f"zipf theta {args.theta:g}", file=out)
+    if run.job.service.spans:
+        _print_attribution(args, result, out)
+        return
     print(f"achieved      : {result['achieved_per_us']:.3f} req/us total "
           f"({result['completions']} completions, "
           f"{result['arrivals']} arrivals in window)", file=out)
@@ -783,39 +572,13 @@ def _command_serve(args: argparse.Namespace, out, record=None) -> int:
     print(f"queue wait p99: {_us(result['wait_p99_ns']):.2f} us", file=out)
     print(f"host queue    : {result['queue_depth_mean']:.2f} mean / "
           f"{result['queue_depth_max']:.0f} max requests waiting", file=out)
-    return 0
 
 
-def _command_explain(args: argparse.Namespace, out, record=None) -> int:
-    import json
+def _print_attribution(args: argparse.Namespace, result: dict, out) -> None:
+    from repro.obs.spans import SEGMENTS
 
-    from repro.obs import PID_SERVICE, TraceConfig, Tracer
-    from repro.obs.spans import SEGMENTS, emit_exemplar_trace
-    from repro.obs.validate import validate_trace
-
-    job = _service_job(args)
-    tracer = None
-    if args.trace_out:
-        tracer = Tracer(
-            TraceConfig(tracks=frozenset({"service", "swq", "spans"}))
-        )
-    result = run_job(job, tracer).payload
-    attribution = result["attribution"]
-    exemplars = result["exemplars"]
-    if record is not None:
-        record["config_digest"] = stable_digest(job.config, job.service, job.window)
-        record["check_invariants"] = args.check_invariants
-        record["results"] = {
-            "attribution": attribution,
-            "exemplars_digest": runlog.digest_of(exemplars),
-            "p99_ns": result["p99_ns"],
-        }
-
+    attribution, exemplars = result["attribution"], result["exemplars"]
     conservation = attribution["conservation"]
-    print(f"configuration : {job.config.describe()}", file=out)
-    print(f"load          : {args.arrivals} arrivals, "
-          f"{result['offered_per_core_us']:g} req/us/core offered, "
-          f"zipf theta {args.theta:g}", file=out)
     print(f"requests      : {attribution['requests']} completed in the "
           f"measurement window ({conservation['in_flight']} still in "
           f"flight at end)", file=out)
@@ -858,79 +621,229 @@ def _command_explain(args: argparse.Namespace, out, record=None) -> int:
     )
     print(f"stratified    : {stratified}", file=out)
     if args.exemplars_out:
-        with open(args.exemplars_out, "w") as handle:
-            json.dump(exemplars, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(exemplars, args.exemplars_out)
         print(f"exemplars     : written to {args.exemplars_out}", file=out)
-    if tracer is not None:
-        trees = emit_exemplar_trace(tracer, exemplars, PID_SERVICE)
-        tracer.write(args.trace_out)
-        summary = tracer.summary()
-        if record is not None:
-            record["trace_digest"] = runlog.digest_of(tracer.to_dict())
-        print(f"trace written : {args.trace_out}  ({trees} exemplar span "
-              f"trees over {summary['events']} events; open at "
-              f"https://ui.perfetto.dev)", file=out)
-        errors = validate_trace(tracer.to_dict())
-        if errors:
-            print(f"INVALID trace : {len(errors)} schema error(s); "
-                  f"first: {errors[0]}", file=out)
-            return 1
-    return 0
 
 
-def _command_app(args: argparse.Namespace, out, record=None) -> int:
-    config = SystemConfig(
-        mechanism=_MECHANISMS[args.mechanism],
-        cores=args.cores,
-        threads_per_core=args.threads,
-        device=DeviceConfig(total_latency_us=args.latency_us),
-    )
-    value, run = normalized(SweepJob(
-        config=config, app=args.name, params=default_params(args.name),
-        check_invariants=args.check_invariants,
+#: The printer of each job kind.
+_PRINTERS = {"microbench": _print_microbench, "application": _print_application,
+             "service": _print_service}
+
+
+def _write_json(payload, path: str) -> None:
+    import json
+
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def _command_trace(args: argparse.Namespace, out, record=None) -> int:
+    from repro.obs import TraceConfig, Tracer
+
+    tracer = Tracer(TraceConfig.from_track_list(
+        args.tracks, sample_every=args.sample, max_events=args.max_events
     ))
-    operations, ticks = run.payload["operations"], run.payload["ticks"]
+    job = _job(args)
+    run = run_job(job, tracer)
+    summary = tracer.summary()
+    _record_job(record, job, run.payload)
     if record is not None:
-        record["app"] = args.name
-        record["config_digest"] = stable_digest(config)
-        record["check_invariants"] = args.check_invariants
-        record["results"] = {
-            "normalized": value,
-            "operations": operations,
-            "ticks": ticks,
-        }
-    print(f"application   : {args.name}", file=out)
-    print(f"configuration : {config.describe()}", file=out)
-    print(f"operations    : {operations}", file=out)
-    print(f"ns / operation: {units.to_ns(ticks / operations):.1f}", file=out)
-    print(f"normalized    : {value:.4f}  (vs 1-thread DRAM baseline)", file=out)
+        record["scenario"] = args.figure
+        record["results"].update(events=summary["events"], dropped=summary["dropped"])
+    window = job.window
+    print(f"scenario      : {args.figure} -- {job.label}", file=out)
+    print(f"configuration : {job.config.describe()}", file=out)
+    print(f"window        : {window.warmup_us:g} us warmup + "
+          f"{window.measure_us:g} us measured", file=out)
+    print(f"work IPC      : {run.payload['work_ipc']:.4f}", file=out)
+    print(f"events        : {summary['events']} recorded, "
+          f"{summary['dropped']} dropped", file=out)
+    for track, count in summary["tracks"].items():
+        print(f"  {track:<7}     : {count}", file=out)
+    return _write_trace(tracer, args.out, out, record)
+
+
+# -- grid commands ------------------------------------------------------------
+
+
+def _engine_from_args(args: argparse.Namespace) -> SweepEngine:
+    """The sweep engine: given flags win, the environment
+    (:meth:`SweepEngine.from_env`) supplies the rest."""
+    progress = None
+    if args.progress:
+        from repro.harness.progress import SweepProgress
+
+        progress = SweepProgress()
+    engine = SweepEngine.from_env(
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        use_cache=False if args.no_cache else None,
+        check_invariants=args.check_invariants,
+        progress=progress,
+        queue_dir=args.queue,
+        timeout_s=args.timeout_s,
+        retries=args.retries,
+    )
+    if args.resume and engine.queue_dir is None:
+        engine.queue_dir = ".repro_queue"
+    return engine
+
+
+def _command_figure(args: argparse.Namespace, out, record=None) -> int:
+    engine = _engine_from_args(args)
+    started = time.perf_counter()
+    try:
+        figure = ALL_FIGURES[args.name](args.scale, engine=engine)
+    except KeyboardInterrupt:
+        return _note_interrupt(args, engine, out, record)
+    except SimulationError:
+        if not engine.last_stats.get("failed"):
+            raise
+        return _note_failed_jobs(engine, out, record)
+    wall = time.perf_counter() - started
+    _record_figure_result(record, args, figure, engine)
+    print(render_table(figure), file=out)
+    if args.name == "figA_slo":
+        _print_queue_rule(figure, out, record)
+    if args.chart:
+        print(render_chart(figure), file=out)
+    if args.csv:
+        with open(args.csv, "w") as handle:
+            handle.write(to_csv(figure))
+        print(f"series written to {args.csv}", file=out)
+    if args.stats:
+        _print_engine_stats(engine, wall, out)
     return 0
+
+
+def _record_figure_result(record, args, figure, engine) -> None:
+    """Stash a figure run's deterministic outputs in its ledger entry."""
+    if record is None:
+        return
+    from repro.harness.regression import figure_to_dict
+
+    payload = figure_to_dict(figure)
+    record["figure"] = {
+        "name": args.name,
+        "scale": args.scale,
+        "payload": payload,
+        "series_digests": {
+            label: runlog.digest_of(points)
+            for label, points in payload["series"].items()
+        },
+    }
+    # A figure is a grid, not one job: its identity is its name and scale.
+    record["config_digest"] = runlog.digest_of(
+        {"figure": args.name, "scale": args.scale}
+    )
+    record["check_invariants"] = args.check_invariants
+    record["sweep"] = dict(engine.last_stats)
+
+
+def _print_queue_rule(figure, out, record) -> None:
+    """For figA_slo: report whether the section V-B sizing rule held."""
+    from repro.harness.figures import queue_rule_report
+
+    report = queue_rule_report(figure)
+    if record is not None:
+        record["queue_rule"] = report
+    verdict = "HOLDS" if report["holds"] else "VIOLATED"
+    print(f"queue rule    : {report['rule']} -- {verdict}", file=out)
+    for cores in sorted(report["per_cores"]):
+        entry = report["per_cores"][cores]
+        print(f"  {cores} core(s) @ {entry['offered_per_core_us']:g}/us: "
+              f"p99 rule-sized {entry['rule-sized']:.1f} us vs "
+              f"under-rule {entry['under-rule']:.1f} us", file=out)
+
+
+def _print_engine_stats(engine: SweepEngine, wall: float, out) -> None:
+    """``figure --stats``: how the sweep engine ran the grid."""
+    stats = engine.last_stats
+    per_job = engine.probes.latency("sweep-job-wall-ns")
+    cache_note = str(engine.cache.root) if engine.cache else "disabled"
+    print(f"workers       : {engine.jobs}", file=out)
+    print(f"jobs          : {stats['jobs']} submitted, "
+          f"{stats['unique']} unique", file=out)
+    print(f"cache         : {stats['cache_hits']} hits, "
+          f"{stats['cache_misses']} misses ({cache_note})", file=out)
+    print(f"simulated     : {stats['simulated']} jobs "
+          f"({stats['retries']} retries, {stats['fallbacks']} fallbacks)",
+          file=out)
+    queue_info = stats.get("queue") or {}
+    if queue_info.get("dir"):
+        counts = queue_info.get("counts") or {}
+        print(f"queue         : {queue_info['dir']} "
+              f"({stats.get('queue_served', 0)} jobs served from queue "
+              f"records, {counts.get('done', 0)} done, "
+              f"{counts.get('failed', 0)} failed)", file=out)
+        print(f"manifest      : spec {str(queue_info.get('spec_digest'))[:12]} "
+              f"-- inspect with `repro runs show -1`", file=out)
+    if per_job.count:
+        print(f"per-job wall  : {per_job.mean / units.NS_PER_S:.3f} s mean, "
+              f"{(per_job.maximum or 0) / units.NS_PER_S:.3f} s max", file=out)
+    print(f"total wall    : {wall:.2f} s", file=out)
+
+
+def _note_interrupt(args: argparse.Namespace, engine: SweepEngine, out,
+                    record) -> int:
+    """A sweep took SIGINT: report what survived and how to resume.
+
+    Returns 130 (the conventional fatal-SIGINT status), which ``main``
+    records in the ledger like any other outcome.
+    """
+    stats = dict(engine.last_stats)
+    if record is not None:
+        record["sweep"] = stats
+    print("interrupted", file=out)
+    queue_info = stats.get("queue") or {}
+    if queue_info.get("dir"):
+        counts = queue_info.get("counts") or {}
+        unresolved = counts.get("pending", 0) + counts.get("leased", 0)
+        print(f"queue         : {queue_info['dir']} "
+              f"({counts.get('done', 0)} done, {unresolved} unresolved, "
+              f"{counts.get('failed', 0)} failed)", file=out)
+        resume = (f"repro {args.command} {args.name} --scale {args.scale}"
+                  f" --queue {engine.queue_dir}")
+        if engine.jobs != 1:
+            resume += f" --jobs {engine.jobs}"
+        print(f"resume with   : {resume}", file=out)
+    else:
+        print("no --queue given: completed jobs survive only in the "
+              "result cache; rerun with --queue DIR (or --resume) for "
+              "a durable, shareable work queue", file=out)
+    return 130
+
+
+def _note_failed_jobs(engine: SweepEngine, out, record) -> int:
+    """Deterministically failing jobs: structured per-job report."""
+    stats = dict(engine.last_stats)
+    if record is not None:
+        record["sweep"] = stats
+    failures = stats.get("failures") or {}
+    print(f"FAILED        : {stats.get('failed', len(failures))} job(s) "
+          f"failed after retries and the in-process fallback; "
+          f"completed results were preserved", file=out)
+    for key, error in sorted(failures.items()):
+        print(f"  {key[:12]}  {error}", file=out)
+    queue_info = stats.get("queue") or {}
+    if queue_info.get("dir"):
+        print(f"queue         : {queue_info['dir']} (failure records in "
+              f"failed/)", file=out)
+    return 1
 
 
 def _command_profile(args: argparse.Namespace, out, record=None) -> int:
     import cProfile
     import pstats
+    from functools import partial
 
     from repro.sim import collect_kernel_stats
 
     if args.target == "microbench":
-        job = SweepJob(
-            config=_system_config(args),
-            spec=MicrobenchSpec(
-                work_count=args.work,
-                reads_per_batch=args.mlp,
-                writes_per_batch=args.writes,
-            ),
-            window=MeasureWindow(
-                warmup_us=args.warmup_us, measure_us=args.measure_us
-            ),
-            check_invariants=args.check_invariants,
-        )
+        job = _job(args)
         label = f"microbench: {job.config.describe()}"
-
-        def workload():
-            run_job(job)
+        workload = partial(run_job, job)
     else:
         # jobs=1 + no cache keeps every simulation in this process, where
         # the profiler and the stats collector can see it.
@@ -938,9 +851,7 @@ def _command_profile(args: argparse.Namespace, out, record=None) -> int:
             jobs=1, use_cache=False, check_invariants=args.check_invariants
         )
         label = f"{args.target} --scale {args.scale}"
-
-        def workload():
-            ALL_FIGURES[args.target](args.scale, engine=engine)
+        workload = partial(ALL_FIGURES[args.target], args.scale, engine=engine)
     if record is not None:
         record["profiled"] = label
         record["check_invariants"] = args.check_invariants
@@ -949,9 +860,11 @@ def _command_profile(args: argparse.Namespace, out, record=None) -> int:
     with collect_kernel_stats() as kernel:
         started = time.perf_counter()
         profiler.enable()
-        workload()
+        result = workload()
         profiler.disable()
         wall = time.perf_counter() - started
+    if args.target == "microbench":
+        _record_job(record, job, result.payload)
 
     stats = kernel.stats()
     events_per_sec = stats["events_fired"] / wall if wall > 0 else 0.0
@@ -973,7 +886,48 @@ def _command_profile(args: argparse.Namespace, out, record=None) -> int:
     return 0
 
 
-def _command_runs(args: argparse.Namespace, out) -> int:
+# -- other commands -----------------------------------------------------------
+
+
+def _command_sweep_worker(args: argparse.Namespace, out, record=None) -> int:
+    from repro.harness import coordinator
+
+    cache = SweepEngine.from_env(
+        cache_dir=args.cache_dir,
+        use_cache=False if args.no_cache else None,
+    ).cache
+
+    def on_queue(queue) -> None:
+        manifest = queue.manifest()
+        print(f"queue         : {queue.root} ({manifest.get('name')}, "
+              f"spec {str(manifest.get('spec_digest'))[:12]})", file=out)
+
+    try:
+        totals = coordinator.drain_queue_tree(
+            args.queue,
+            args.worker,
+            cache=cache,
+            lease_s=args.lease_s,
+            max_jobs=args.max_jobs,
+            poll_s=args.poll_s,
+            watch=args.watch,
+            on_queue=on_queue,
+        )
+    except KeyboardInterrupt:
+        print("interrupted: in-flight leases were released (or will "
+              "expire); resolved jobs stay in the queue", file=out)
+        return 130
+    if record is not None:
+        record["worker"] = {"queue_root": str(args.queue), **totals}
+    print(f"queues        : {totals['queues']} drained under {args.queue}",
+          file=out)
+    print(f"claims        : {totals['claims']} ({totals['done']} done, "
+          f"{totals['failed']} failed, {totals['cache_hits']} cache hits)",
+          file=out)
+    return 0
+
+
+def _command_runs(args: argparse.Namespace, out, record=None) -> int:
     import json
 
     ledger = runlog.RunLedger()
@@ -1026,7 +980,8 @@ def _diff_runs(base: dict, current: dict, rtol: float, atol: float,
     Wall time, timestamps and cache-hit counts legitimately differ
     between identical runs, so the comparison covers only what must
     reproduce: figure series (with tolerance), kernel event counts,
-    result numbers, and the config/metrics/trace digests.
+    result numbers, and the config, metrics, exemplars and trace
+    digests.
     """
     from repro.errors import ConfigError
     from repro.harness.regression import (
@@ -1040,8 +995,9 @@ def _diff_runs(base: dict, current: dict, rtol: float, atol: float,
         print(f"{role:<7} : {entry.get('run_id', '?')}  repro {argv}",
               file=out)
     notes: list[str] = []
+    digests = tuple(f"{section}_digest" for section in _DIGESTED)
     for key in ("command", "model_version", "git_sha", "config_digest",
-                "metrics_digest", "trace_digest", "status"):
+                *digests, "trace_digest", "status"):
         if base.get(key) != current.get(key):
             notes.append(f"{key}: {base.get(key)!r} -> {current.get(key)!r}")
     deviations = []
@@ -1082,7 +1038,13 @@ def _diff_runs(base: dict, current: dict, rtol: float, atol: float,
     return 0
 
 
-def _command_list(out) -> int:
+def _command_lint(args: argparse.Namespace, out, record=None) -> int:
+    from repro.analysis import run_from_args
+
+    return run_from_args(args, out)
+
+
+def _command_list(args: argparse.Namespace, out, record=None) -> int:
     print("figures:", file=out)
     for name in sorted(ALL_FIGURES):
         print(f"  {name}", file=out)
@@ -1092,46 +1054,11 @@ def _command_list(out) -> int:
     return 0
 
 
-#: Commands that append a provenance record to the run ledger.
-_RECORDED_COMMANDS = frozenset(
-    {"run", "serve", "explain", "trace", "figure", "sweep", "sweep-worker",
-     "app", "profile"}
-)
+def _command_table1(args: argparse.Namespace, out, record=None) -> int:
+    from repro.taxonomy import render_table_i
 
-
-def _dispatch(args: argparse.Namespace, out, record) -> int:
-    if args.command == "run":
-        return _command_run(args, out, record)
-    if args.command == "serve":
-        return _command_serve(args, out, record)
-    if args.command == "explain":
-        return _command_explain(args, out, record)
-    if args.command == "trace":
-        return _command_trace(args, out, record)
-    if args.command == "figure":
-        return _command_figure(args, out, record)
-    if args.command == "sweep":
-        return _command_sweep(args, out, record)
-    if args.command == "sweep-worker":
-        return _command_sweep_worker(args, out, record)
-    if args.command == "app":
-        return _command_app(args, out, record)
-    if args.command == "profile":
-        return _command_profile(args, out, record)
-    if args.command == "runs":
-        return _command_runs(args, out)
-    if args.command == "lint":
-        from repro.analysis import run_from_args
-
-        return run_from_args(args, out)
-    if args.command == "list":
-        return _command_list(out)
-    if args.command == "table1":
-        from repro.taxonomy import render_table_i
-
-        print(render_table_i(), file=out)
-        return 0
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    print(render_table_i(), file=out)
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
@@ -1139,9 +1066,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         out = sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        if (args.command not in _RECORDED_COMMANDS
-                or not runlog.RunLedger.enabled()):
-            return _dispatch(args, out, None)
+        if not (args.recorded and runlog.RunLedger.enabled()):
+            return args.handler(args, out, None)
         from repro.sim import collect_kernel_stats
 
         record = {
@@ -1154,7 +1080,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         started = time.perf_counter()
         try:
             with collect_kernel_stats() as kernel:
-                status = _dispatch(args, out, record)
+                status = args.handler(args, out, record)
         except Exception as error:
             # Failed runs are part of the provenance story too; record
             # the failure, then let the error propagate unchanged.

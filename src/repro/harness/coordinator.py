@@ -31,7 +31,7 @@ into a durable on-disk work queue:
 
 Interrupting a sweep (SIGINT, worker kill, power loss) loses at most
 the in-flight jobs: ``done`` records persist, and a resumed sweep
-(``repro sweep --resume``) re-enters the queue, executes only the
+(``repro figure FIG --resume``) re-enters the queue, executes only the
 missing jobs, and reassembles outcomes bit-for-bit identical to an
 uninterrupted run.
 

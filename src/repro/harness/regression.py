@@ -1,19 +1,19 @@
-"""Figure-result baselines: save once, diff later runs.
+"""Figure-result comparison: diff a run against a recorded one.
 
 A simulator's results should not drift silently under refactoring.
-This module serializes a :class:`FigureResult` to JSON and compares a
-fresh run against a stored baseline point by point, reporting every
-deviation beyond a tolerance.
+This module serializes a :class:`FigureResult` to JSON (the form the
+run ledger records) and compares a fresh run against a baseline point
+by point, reporting every deviation beyond a tolerance; nested numeric
+mappings (kernel counters, result numbers) compare the same way.
 
-CLI: ``repro figure fig3 --save-baseline b.json`` then later
-``repro figure fig3 --compare-baseline b.json``.
+CLI: ``repro figure fig3`` twice, then ``repro runs diff -2 -1``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from typing import Callable, Union
 
 from repro.errors import ConfigError
 from repro.harness.figures import FigureResult
@@ -25,8 +25,6 @@ __all__ = [
     "figure_from_dict",
     "figure_to_dict",
     "flatten_numeric",
-    "load_baseline",
-    "save_baseline",
 ]
 
 _FORMAT = "repro-figure-baseline-v1"
@@ -62,17 +60,6 @@ def figure_from_dict(payload: dict) -> FigureResult:
     return figure
 
 
-def save_baseline(figure: FigureResult, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(figure_to_dict(figure), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_baseline(path) -> FigureResult:
-    with open(path) as handle:
-        return figure_from_dict(json.load(handle))
-
-
 @dataclass(frozen=True)
 class Deviation:
     """One point that moved beyond tolerance (or appeared/vanished)."""
@@ -93,6 +80,24 @@ class Deviation:
         if self.kind in ("missing-point", "new-point"):
             return f"{self.series}{at}: {self.kind}"
         return f"{self.series}: {self.kind}"
+
+
+def _compare_points(
+    base: dict, current: dict, rtol: float, atol: float,
+    deviation: Callable[..., Deviation],
+) -> list[Deviation]:
+    """The one tolerance rule: every point of ``base`` (a mapping of
+    point to value) that vanished, appeared or moved by more than
+    ``atol + rtol * |base|`` in ``current``, each reported as
+    ``deviation(point, base_y, current_y, kind)``."""
+    found = [deviation(p, base[p], None, "missing-point") for p in base.keys() - current.keys()]
+    found += [deviation(p, None, current[p], "new-point") for p in current.keys() - base.keys()]
+    found += [
+        deviation(p, base[p], current[p], "value")
+        for p in base.keys() & current.keys()
+        if abs(current[p] - base[p]) > atol + rtol * abs(base[p])
+    ]
+    return found
 
 
 def compare_to_baseline(
@@ -120,20 +125,9 @@ def compare_to_baseline(
     for label in current.keys() - expected.keys():
         deviations.append(Deviation(label, None, None, None, "new-series"))
     for label in expected.keys() & current.keys():
-        base_points = expected[label]
-        new_points = current[label]
-        for x in base_points.keys() - new_points.keys():
-            deviations.append(
-                Deviation(label, x, base_points[x], None, "missing-point")
-            )
-        for x in new_points.keys() - base_points.keys():
-            deviations.append(
-                Deviation(label, x, None, new_points[x], "new-point")
-            )
-        for x in base_points.keys() & new_points.keys():
-            base_y, new_y = base_points[x], new_points[x]
-            if abs(new_y - base_y) > atol + rtol * abs(base_y):
-                deviations.append(Deviation(label, x, base_y, new_y, "value"))
+        deviations += _compare_points(
+            expected[label], current[label], rtol, atol, partial(Deviation, label)
+        )
     deviations.sort(key=lambda d: (d.series, d.x if d.x is not None else -1))
     return deviations
 
@@ -172,22 +166,9 @@ def compare_mappings(
     changes.  ``label`` prefixes every reported key (e.g. ``"metrics"``).
     """
     stem = f"{label}." if label else ""
-    base_flat = flatten_numeric(baseline)
-    new_flat = flatten_numeric(current)
-    deviations: list[Deviation] = []
-    for key in base_flat.keys() - new_flat.keys():
-        deviations.append(
-            Deviation(stem + key, None, base_flat[key], None, "missing-point")
-        )
-    for key in new_flat.keys() - base_flat.keys():
-        deviations.append(
-            Deviation(stem + key, None, None, new_flat[key], "new-point")
-        )
-    for key in base_flat.keys() & new_flat.keys():
-        base_y, new_y = base_flat[key], new_flat[key]
-        if abs(new_y - base_y) > atol + rtol * abs(base_y):
-            deviations.append(
-                Deviation(stem + key, None, base_y, new_y, "value")
-            )
+    deviations = _compare_points(
+        flatten_numeric(baseline), flatten_numeric(current), rtol, atol,
+        lambda key, base_y, new_y, kind: Deviation(stem + key, None, base_y, new_y, kind),
+    )
     deviations.sort(key=lambda d: d.series)
     return deviations

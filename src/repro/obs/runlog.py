@@ -3,21 +3,24 @@
 Reproducing a paper is an exercise in not fooling yourself, and the
 first tool for that is a memory: which commit, which model version,
 which config produced the numbers you are looking at?  Every
-``repro run/figure/sweep/profile/trace/app`` invocation appends one
-JSON line to ``.repro_runs/ledger.jsonl`` with:
+``repro run/app/serve/explain/trace/profile/figure/sweep-worker``
+invocation appends one JSON line to ``.repro_runs/ledger.jsonl`` with:
 
 * provenance -- ledger format version, git SHA, sweep
   :data:`~repro.harness.sweep.MODEL_VERSION`, CLI argv, timestamp;
-* identity -- a ``run_id`` content digest and the resolved config
-  digest, so "the same experiment" is a machine-checkable notion;
-* results -- wall time, kernel counters, figure series (in the
-  regression-baseline format), metrics-snapshot digests, sweep/cache
+* identity -- a ``run_id`` content digest and a ``config_digest`` (a
+  job command's :func:`~repro.harness.sweep.job_digest`, a figure's
+  name and scale), so "the same experiment" is a machine-checkable
+  notion;
+* results -- wall time, kernel counters, the job's payload numbers,
+  figure series (as :func:`~repro.harness.regression.figure_to_dict`
+  renders them), metrics, exemplars and trace digests, sweep/cache
   statistics.
 
 ``repro runs list/show/diff`` read the ledger back; ``runs diff``
 reuses the :mod:`repro.harness.regression` tolerance machinery to
-compare two entries' figure series, kernel counters, and metrics
-digests.  The ledger is best-effort: a read-only filesystem or a
+compare two entries' figure series, kernel counters, result numbers
+and digests.  The ledger is best-effort: a read-only filesystem or a
 corrupt line degrades to "not recorded", never to a failed run.
 Set ``REPRO_RUNS_DIR`` to relocate it or ``REPRO_NO_LEDGER`` (any
 non-empty value) to disable recording.

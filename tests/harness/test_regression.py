@@ -8,8 +8,6 @@ from repro.harness.regression import (
     compare_to_baseline,
     figure_from_dict,
     figure_to_dict,
-    load_baseline,
-    save_baseline,
 )
 
 
@@ -29,13 +27,6 @@ def test_roundtrip_through_dict():
     assert clone.figure_id == figure.figure_id
     assert clone.get("1us").points == figure.get("1us").points
     assert clone.get("4us").points == figure.get("4us").points
-
-
-def test_save_and_load_file(tmp_path):
-    path = tmp_path / "base.json"
-    save_baseline(make_figure(), path)
-    loaded = load_baseline(path)
-    assert loaded.get("1us").y_at(10) == 1.0
 
 
 def test_bad_format_rejected():
@@ -80,23 +71,6 @@ def test_mismatched_figures_rejected():
     other = FigureResult("figQ", "Other", xlabel="x", ylabel="y")
     with pytest.raises(ConfigError):
         compare_to_baseline(other, baseline)
-
-
-def test_cli_baseline_roundtrip(tmp_path):
-    import io
-
-    from repro.cli import main
-
-    path = tmp_path / "fig3.json"
-    out = io.StringIO()
-    assert main(["figure", "fig3", "--save-baseline", str(path)], out=out) == 0
-    assert "baseline saved" in out.getvalue()
-    out = io.StringIO()
-    # Deterministic simulator: an immediate re-run matches exactly.
-    assert (
-        main(["figure", "fig3", "--compare-baseline", str(path)], out=out) == 0
-    )
-    assert "matches baseline" in out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -203,16 +203,16 @@ def test_figure_command_with_csv(tmp_path):
 def test_sweep_command_cold_then_warm_cache(tmp_path):
     cache_dir = str(tmp_path / "cache")
     code, text = run_cli(
-        "sweep", "fig3", "--scale", "quick", "--jobs", "2",
-        "--cache-dir", cache_dir,
+        "figure", "fig3", "--scale", "quick", "--jobs", "2",
+        "--cache-dir", cache_dir, "--stats",
     )
     assert code == 0
     assert "fig3" in text
     assert "0 hits" in text
     assert "workers       : 2" in text
     code, warm = run_cli(
-        "sweep", "fig3", "--scale", "quick", "--jobs", "2",
-        "--cache-dir", cache_dir,
+        "figure", "fig3", "--scale", "quick", "--jobs", "2",
+        "--cache-dir", cache_dir, "--stats",
     )
     assert code == 0
     assert "0 misses" in warm
@@ -389,7 +389,7 @@ def test_figure_run_records_series_digests():
 def test_sweep_with_queue_is_resumable(tmp_path):
     queue_dir = str(tmp_path / "queue")
     code, text = run_cli(
-        "sweep", "fig3", "--scale", "quick", "--jobs", "2",
+        "figure", "fig3", "--scale", "quick", "--jobs", "2", "--stats",
         "--queue", queue_dir, "--cache-dir", str(tmp_path / "cache"),
     )
     assert code == 0
@@ -398,7 +398,7 @@ def test_sweep_with_queue_is_resumable(tmp_path):
     # Re-entering the same queue with a cold cache replays done
     # records; nothing simulates again.
     code, replay = run_cli(
-        "sweep", "fig3", "--scale", "quick", "--jobs", "2",
+        "figure", "fig3", "--scale", "quick", "--jobs", "2", "--stats",
         "--queue", queue_dir, "--cache-dir", str(tmp_path / "cache2"),
     )
     assert code == 0
@@ -412,7 +412,7 @@ def test_sweep_queue_manifest_links_ledger_runs(tmp_path):
 
     queue_dir = tmp_path / "queue"
     code, _ = run_cli(
-        "sweep", "fig3", "--scale", "quick",
+        "figure", "fig3", "--scale", "quick", "--stats",
         "--queue", str(queue_dir), "--cache-dir", str(tmp_path / "cache"),
     )
     assert code == 0
@@ -429,7 +429,7 @@ def test_sweep_queue_manifest_links_ledger_runs(tmp_path):
 def test_resume_flag_defaults_to_local_queue_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _ = run_cli(
-        "sweep", "fig3", "--scale", "quick", "--resume",
+        "figure", "fig3", "--scale", "quick", "--stats", "--resume",
         "--cache-dir", str(tmp_path / "cache"),
     )
     assert code == 0
@@ -474,7 +474,9 @@ def test_sweep_surfaces_failed_jobs_in_exit_code(monkeypatch):
         raise ValueError("injected CLI fault")
 
     monkeypatch.setattr(sweep_mod, "run_job", _always_fails)
-    code, text = run_cli("sweep", "fig3", "--scale", "quick", "--no-cache")
+    code, text = run_cli(
+        "figure", "fig3", "--scale", "quick", "--no-cache", "--stats"
+    )
     assert code == 1
     assert "FAILED" in text
     assert "ValueError: injected CLI fault" in text
@@ -482,7 +484,7 @@ def test_sweep_surfaces_failed_jobs_in_exit_code(monkeypatch):
 
 def test_engine_flags_accept_failure_tuning(tmp_path):
     code, _ = run_cli(
-        "sweep", "fig3", "--scale", "quick", "--no-cache",
+        "figure", "fig3", "--scale", "quick", "--no-cache", "--stats",
         "--timeout-s", "120", "--retries", "2",
     )
     assert code == 0
@@ -498,7 +500,7 @@ def test_malformed_sweep_environment_fails_only_sweeps(monkeypatch, variable):
     # Every command still parses; only the engine's construction fails.
     build_parser().parse_args(["run", "--threads", "2"])
     with pytest.raises(ConfigError, match=variable):
-        main(["sweep", "fig3", "--no-cache"], out=io.StringIO())
+        main(["figure", "fig3", "--no-cache", "--stats"], out=io.StringIO())
 
 
 def test_sweep_environment_reaches_the_cli_engine(monkeypatch, tmp_path):
@@ -507,13 +509,15 @@ def test_sweep_environment_reaches_the_cli_engine(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_SWEEP_METRICS", "1")
     monkeypatch.setenv("REPRO_SWEEP_JOBS", "3")
     monkeypatch.setenv("REPRO_SWEEP_QUEUE", str(tmp_path / "queue"))
-    engine = _engine_from_args(build_parser().parse_args(["sweep", "fig3"]))
+    engine = _engine_from_args(
+        build_parser().parse_args(["figure", "fig3", "--stats"])
+    )
     assert engine.collect_metrics
     assert engine.jobs == 3
     assert engine.queue_dir == str(tmp_path / "queue")
     # A given flag wins over its variable.
     flagged = _engine_from_args(
-        build_parser().parse_args(["sweep", "fig3", "--jobs", "2"])
+        build_parser().parse_args(["figure", "fig3", "--stats", "--jobs", "2"])
     )
     assert flagged.jobs == 2
 
@@ -532,7 +536,9 @@ def test_interrupt_hint_names_the_environment_queue(monkeypatch, tmp_path):
 
     monkeypatch.setattr(sweep_mod, "run_job", _interrupt_third)
     monkeypatch.setenv("REPRO_SWEEP_QUEUE", str(tmp_path / "queue"))
-    code, text = run_cli("sweep", "fig3", "--scale", "quick", "--no-cache")
+    code, text = run_cli(
+        "figure", "fig3", "--scale", "quick", "--no-cache", "--stats"
+    )
     assert code == 130
     assert "interrupted" in text
     # The queue came from the environment, not a flag: the resume hint
@@ -553,3 +559,110 @@ def test_run_command_pcie_rate_fits_the_link():
     )
     assert float(line.split(":")[1].split()[0]) <= 4.00
     assert "(whole run)" in line
+
+
+def test_figure_without_stats_prints_no_engine_statistics(tmp_path):
+    code, text = run_cli("figure", "fig3", "--cache-dir", str(tmp_path / "cache"))
+    assert code == 0
+    for line in text.splitlines():
+        assert not line.startswith(("workers", "cache", "simulated", "total wall"))
+
+
+def test_explain_top_zero_is_rejected():
+    from repro.errors import ConfigError
+
+    # --top reaches ServiceParams.span_exemplars as given: 0 is as
+    # invalid as a negative count, not a request for the default 8.
+    with pytest.raises(ConfigError, match="need at least one span exemplar slot"):
+        run_cli(*_EXPLAIN_ARGS, "--top", "0")
+
+
+# ---------------------------------------------------------------------------
+# Ledger identity: a job command's config_digest is its job's job_digest
+# ---------------------------------------------------------------------------
+
+def test_app_runs_of_different_applications_record_different_digests():
+    from repro.obs.runlog import RunLedger
+
+    run_cli("app", "bloom", "--threads", "2")
+    run_cli("app", "memcached", "--threads", "2")
+    bloom, memcached = RunLedger().entries()
+    assert bloom["config_digest"] != memcached["config_digest"]
+    code, text = run_cli("runs", "diff", "0", "1")
+    assert code == 1
+    assert "  config_digest: " in text
+
+
+def test_job_commands_record_the_job_digest():
+    from repro.config import AccessMechanism, SystemConfig
+    from repro.harness.applications import default_params
+    from repro.harness.experiment import MeasureWindow
+    from repro.harness.service import ServiceParams
+    from repro.harness.sweep import SweepJob, job_digest
+    from repro.obs.runlog import RunLedger
+    from repro.workloads.loadgen import ArrivalSpec, OpenLoopSpec
+    from repro.workloads.microbench import MicrobenchSpec
+
+    prefetch = SystemConfig(mechanism=AccessMechanism.PREFETCH, threads_per_core=2)
+    expected = {
+        ("run", "--threads", "2", "--warmup-us", "2", "--measure-us", "8"): SweepJob(
+            config=prefetch,
+            spec=MicrobenchSpec(work_count=200),
+            window=MeasureWindow(warmup_us=2.0, measure_us=8.0),
+        ),
+        ("app", "bloom", "--threads", "2"): SweepJob(
+            config=prefetch, app="bloom", params=default_params("bloom"),
+        ),
+        ("serve", "--warmup-us", "10", "--measure-us", "60"): SweepJob(
+            config=SystemConfig(
+                mechanism=AccessMechanism.SOFTWARE_QUEUE, threads_per_core=8
+            ),
+            service=ServiceParams(
+                open_loop=OpenLoopSpec(arrivals=ArrivalSpec(rate_per_us=0.2))
+            ),
+            window=MeasureWindow(warmup_us=10.0, measure_us=60.0),
+        ),
+    }
+    for argv, job in expected.items():
+        assert run_cli(*argv)[0] == 0
+        assert RunLedger().resolve("-1")["config_digest"] == job_digest(job)
+
+
+@pytest.mark.parametrize("command", ["app", "explain", "trace"])
+def test_identical_job_runs_diff_clean(command, tmp_path):
+    argv = {
+        "app": ("app", "bloom", "--threads", "2"),
+        "explain": _EXPLAIN_ARGS,
+        "trace": ("trace", "--quick", "--out", str(tmp_path / "trace.json")),
+    }[command]
+    run_cli(*argv)
+    run_cli(*argv)
+    code, text = run_cli("runs", "diff", "0", "1")
+    assert code == 0, text
+    assert "runs match: no deviations" in text
+
+
+def test_runs_diff_compares_the_exemplar_digest():
+    from repro.obs.runlog import RunLedger
+
+    run_cli(*_EXPLAIN_ARGS)
+    ledger = RunLedger()
+    entry = ledger.resolve("-1")
+    assert len(entry["exemplars_digest"]) == 64
+    ledger.record({**entry, "exemplars_digest": "0" * 64})
+    code, text = run_cli("runs", "diff", "-2", "-1")
+    assert code == 1
+    assert "  exemplars_digest: " in text
+
+
+def test_runs_diff_reports_a_moved_figure_point(tmp_path):
+    from repro.obs.runlog import RunLedger
+
+    run_cli("figure", "fig3", "--cache-dir", str(tmp_path / "cache"))
+    ledger = RunLedger()
+    entry = ledger.resolve("-1")
+    entry["figure"]["payload"]["series"]["1us"][0][1] += 0.5
+    ledger.record(entry)
+    code, text = run_cli("runs", "diff", "-2", "-1")
+    assert code == 1
+    assert "  1us @ x=" in text
