@@ -55,7 +55,7 @@ class AcquireReleaseChecker(Checker):
     """SIM201: in-function acquire whose release is not in a finally.
 
     Cross-function hand-off protocols (the LFB acquires in
-    ``allocate`` and releases in ``complete``) are out of static
+    ``allocate_queued`` and releases in ``complete``) are out of static
     reach and deliberately not flagged: the check fires only when a
     function contains *both* the ``.acquire()`` and a matching
     ``.release()``, yet no matching release is exception-safe.

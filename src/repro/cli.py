@@ -34,6 +34,7 @@ inspects the ledger.
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 import time
 from dataclasses import replace
@@ -803,8 +804,14 @@ def _note_interrupt(args: argparse.Namespace, engine: SweepEngine, out,
         print(f"queue         : {queue_info['dir']} "
               f"({counts.get('done', 0)} done, {unresolved} unresolved, "
               f"{counts.get('failed', 0)} failed)", file=out)
+        # The engine's observation options enter every job's digest:
+        # a hint without them would resume into a different queue.
         resume = (f"repro {args.command} {args.name} --scale {args.scale}"
-                  f" --queue {engine.queue_dir}")
+                  f" --queue {shlex.quote(str(engine.queue_dir))}")
+        if engine.collect_metrics:
+            resume = "REPRO_SWEEP_METRICS=1 " + resume
+        if engine.check_invariants:
+            resume += " --check-invariants"
         if engine.jobs != 1:
             resume += f" --jobs {engine.jobs}"
         print(f"resume with   : {resume}", file=out)

@@ -10,7 +10,7 @@ headline bottleneck; the queue-sizing ablation enlarges it.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.errors import SimulationError
 from repro.sim import Event, Resource, Simulator
@@ -109,31 +109,6 @@ class LineFillBuffers:
         if entry is not None:
             entry.merged_loads += 1
             self.merges += 1
-        return entry
-
-    def allocate(self, line_addr: int) -> Generator[Event, object, MissEntry]:
-        """Generator: obtain a buffer for a new miss.
-
-        Stalls (blocking the caller, i.e. the core's dispatch) while
-        all buffers are occupied -- the mechanism behind the 10-thread
-        plateau of Figure 3.
-        """
-        if line_addr in self._entries:
-            raise SimulationError(
-                f"{self.name}: duplicate allocation for line {line_addr:#x}; "
-                "call lookup() first"
-            )
-        # Register the entry *before* waiting for a buffer so that a
-        # same-line access arriving mid-wait merges instead of racing
-        # into a duplicate allocation.
-        entry = MissEntry(self.sim, line_addr)
-        self._entries[line_addr] = entry
-        grant = self._slots.acquire()
-        if not grant.fired:
-            yield grant
-        entry.issued_at = self.sim.now
-        if self.tracer is not None:
-            self._trace_occupancy()
         return entry
 
     def allocate_queued(self, line_addr: int) -> tuple[MissEntry, Event]:

@@ -7,6 +7,13 @@ result cache), and returns a :class:`FigureResult` whose series mirror
 the lines of the paper's plot.  ``scale="quick"`` trims the grids for
 CI-speed runs; ``scale="full"`` reproduces the paper's grids.
 
+Figures 2-9 all sweep the section IV-C microbenchmark, so each is
+declared as a series table: per line, a label and the
+:func:`microbench_job` arguments that set it apart, swept over one x
+axis (threads per core, or fig2's work count).  ``repro trace``'s
+scenarios (:mod:`repro.obs.scenarios`) are built by the same
+:func:`microbench_job`.
+
 Baselines are ordinary sweep jobs derived per measurement by
 :func:`~repro.harness.sweep.baseline_job`; the engine's key-level
 deduplication runs each distinct baseline once per sweep.  Because the
@@ -31,12 +38,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.config import (
-    AccessMechanism,
-    DeviceConfig,
-    SwqConfig,
-    SystemConfig,
-)
+from repro.config import AccessMechanism, DeviceConfig, SwqConfig, SystemConfig
 from repro.errors import SimulationError
 from repro.harness.applications import APPLICATIONS, default_params
 from repro.harness.experiment import MeasureWindow
@@ -49,6 +51,7 @@ from repro.workloads.microbench import MicrobenchSpec
 __all__ = [
     "FigureResult",
     "Series",
+    "microbench_job",
     "fig2",
     "fig3",
     "fig4",
@@ -68,7 +71,13 @@ __all__ = [
 #: at 10 threads, as in the paper's Figure 3.
 DEFAULT_WORK = 200
 
+#: The closed-loop microbenchmarks' measurement window (Figures 3-9).
 _WINDOW = MeasureWindow(warmup_us=30.0, measure_us=100.0)
+
+#: The longer window of Figure 2's on-demand points and of the
+#: open-loop services: a service's tail percentiles are computed from
+#: the requests *completing inside* the window, so the window must hold
+#: enough arrivals for a p99 to be meaningful.
 _LONG_WINDOW = MeasureWindow(warmup_us=40.0, measure_us=400.0)
 
 
@@ -119,7 +128,8 @@ class FigureResult:
         raise KeyError(f"figure {self.figure_id} has no series {label!r}")
 
 
-def _threads_grid(scale: str, full: Sequence[int], quick: Sequence[int]) -> list[int]:
+def _by_scale(scale: str, full: Sequence, quick: Sequence) -> list:
+    """The ``full`` list at ``scale="full"``, else the ``quick`` one."""
     return list(full if scale == "full" else quick)
 
 
@@ -157,294 +167,164 @@ def _run_normalized(
 
 
 # ---------------------------------------------------------------------------
-# Figure 2: on-demand access vs work-count
+# Figures 2-9: the section IV-C microbenchmark, swept
 # ---------------------------------------------------------------------------
+
+def microbench_job(
+    mechanism: AccessMechanism,
+    threads: int,
+    cores: int = 1,
+    latency_us: float = 1.0,
+    work: int = DEFAULT_WORK,
+    reads: int = 1,
+    window: MeasureWindow = _WINDOW,
+    label: object = None,
+) -> SweepJob:
+    """One point of the section IV-C microbenchmark: ``threads`` per
+    core on ``cores`` cores against a ``latency_us`` device, each
+    iteration doing ``work`` work instructions and a batch of ``reads``
+    accesses (its MLP)."""
+    return SweepJob(
+        config=SystemConfig(
+            mechanism=mechanism,
+            cores=cores,
+            threads_per_core=threads,
+            device=DeviceConfig(total_latency_us=latency_us),
+        ),
+        spec=MicrobenchSpec(work_count=work, reads_per_batch=reads),
+        window=window,
+        label=label,
+    )
+
+
+def _microbench_figure(
+    header: tuple[str, str, str, str],
+    lines: Sequence[tuple[str, dict]],
+    xs: Sequence,
+    engine: Optional[SweepEngine],
+    x_field: str = "threads",
+) -> FigureResult:
+    """A figure of microbenchmark points: ``header`` is the figure id,
+    title, x label and y label; each ``(label, point)`` series sweeps
+    :func:`microbench_job` with the ``point`` arguments over ``xs``,
+    passed as its ``x_field`` argument, and every point is normalized
+    by :func:`_run_normalized`."""
+    result = FigureResult(*header)
+    grid = []
+    for label, point in lines:
+        line = result.new_series(label)
+        for x in xs:
+            grid.append((line, x, microbench_job(**point, **{x_field: x})))
+    _run_normalized(result.figure_id, grid, engine)
+    return result
+
+
+_PREFETCH = AccessMechanism.PREFETCH
+_SWQ = AccessMechanism.SOFTWARE_QUEUE
+
 
 def fig2(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureResult:
     """On-demand access of the microsecond device (vs work-count)."""
-    result = FigureResult(
-        "fig2",
-        "On-demand access of microsecond-latency device",
-        xlabel="work instructions per access",
-        ylabel="normalized work IPC",
+    return _microbench_figure(
+        ("fig2", "On-demand access of microsecond-latency device",
+         "work instructions per access", "normalized work IPC"),
+        [(f"{latency_us:g}us", dict(mechanism=AccessMechanism.ON_DEMAND, threads=1,
+                                    latency_us=latency_us, window=_LONG_WINDOW))
+         for latency_us in (1.0, 2.0, 4.0)],
+        _by_scale(scale, full=(10, 50, 100, 200, 500, 1000, 2000, 5000),
+                  quick=(10, 100, 1000, 5000)),
+        engine,
+        x_field="work",
     )
-    work_counts = _threads_grid(
-        scale, full=(10, 50, 100, 200, 500, 1000, 2000, 5000),
-        quick=(10, 100, 1000, 5000),
-    )
-    grid = []
-    for latency_us in (1.0, 2.0, 4.0):
-        line = result.new_series(f"{latency_us:g}us")
-        for work in work_counts:
-            config = SystemConfig(
-                mechanism=AccessMechanism.ON_DEMAND,
-                threads_per_core=1,
-                device=DeviceConfig(total_latency_us=latency_us),
-            )
-            job = SweepJob(
-                config=config,
-                spec=MicrobenchSpec(work_count=work),
-                window=_LONG_WINDOW,
-            )
-            grid.append((line, work, job))
-    _run_normalized("fig2", grid, engine)
-    return result
 
-
-# ---------------------------------------------------------------------------
-# Figure 3: prefetch-based access vs thread count, three latencies
-# ---------------------------------------------------------------------------
 
 def fig3(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureResult:
     """Prefetch-based access with various latencies."""
-    result = FigureResult(
-        "fig3",
-        "Prefetch-based access with various latencies",
-        xlabel="threads",
-        ylabel="normalized work IPC",
+    return _microbench_figure(
+        ("fig3", "Prefetch-based access with various latencies",
+         "threads", "normalized work IPC"),
+        [(f"{latency_us:g}us", dict(mechanism=_PREFETCH, latency_us=latency_us))
+         for latency_us in (1.0, 2.0, 4.0)],
+        _by_scale(scale, full=range(1, 17), quick=(1, 2, 4, 8, 10, 12, 16)),
+        engine,
     )
-    threads_grid = _threads_grid(
-        scale, full=tuple(range(1, 17)), quick=(1, 2, 4, 8, 10, 12, 16)
-    )
-    grid = []
-    for latency_us in (1.0, 2.0, 4.0):
-        line = result.new_series(f"{latency_us:g}us")
-        for threads in threads_grid:
-            config = SystemConfig(
-                mechanism=AccessMechanism.PREFETCH,
-                threads_per_core=threads,
-                device=DeviceConfig(total_latency_us=latency_us),
-            )
-            job = SweepJob(
-                config=config,
-                spec=MicrobenchSpec(work_count=DEFAULT_WORK),
-                window=_WINDOW,
-            )
-            grid.append((line, threads, job))
-    _run_normalized("fig3", grid, engine)
-    return result
 
-
-# ---------------------------------------------------------------------------
-# Figure 4: prefetch at 1 us with various work-counts
-# ---------------------------------------------------------------------------
 
 def fig4(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureResult:
     """1 us prefetch-based access with various work counts."""
-    result = FigureResult(
-        "fig4",
-        "1us prefetch-based access with various work counts",
-        xlabel="threads",
-        ylabel="normalized work IPC",
+    return _microbench_figure(
+        ("fig4", "1us prefetch-based access with various work counts",
+         "threads", "normalized work IPC"),
+        [(f"work={work}", dict(mechanism=_PREFETCH, work=work))
+         for work in _by_scale(scale, full=(100, 200, 400, 800, 1600),
+                               quick=(100, 200, 800))],
+        _by_scale(scale, full=range(1, 17), quick=(1, 2, 4, 6, 8, 10, 12, 16)),
+        engine,
     )
-    threads_grid = _threads_grid(
-        scale, full=tuple(range(1, 17)), quick=(1, 2, 4, 6, 8, 10, 12, 16)
-    )
-    work_grid = (100, 200, 400, 800, 1600) if scale == "full" else (100, 200, 800)
-    grid = []
-    for work in work_grid:
-        line = result.new_series(f"work={work}")
-        for threads in threads_grid:
-            config = SystemConfig(
-                mechanism=AccessMechanism.PREFETCH,
-                threads_per_core=threads,
-                device=DeviceConfig(total_latency_us=1.0),
-            )
-            job = SweepJob(
-                config=config,
-                spec=MicrobenchSpec(work_count=work),
-                window=_WINDOW,
-            )
-            grid.append((line, threads, job))
-    _run_normalized("fig4", grid, engine)
-    return result
 
-
-# ---------------------------------------------------------------------------
-# Figure 5: multicore prefetch-based access
-# ---------------------------------------------------------------------------
 
 def fig5(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureResult:
     """Multicore prefetch-based access (the 14-entry chip queue cap)."""
-    result = FigureResult(
-        "fig5",
-        "Multicore prefetch-based access with various latencies",
-        xlabel="threads per core",
-        ylabel="normalized work IPC (vs 1-core DRAM baseline)",
+    return _microbench_figure(
+        ("fig5", "Multicore prefetch-based access with various latencies",
+         "threads per core", "normalized work IPC (vs 1-core DRAM baseline)"),
+        [(f"{latency_us:g}us/{cores}core",
+          dict(mechanism=_PREFETCH, cores=cores, latency_us=latency_us))
+         for latency_us in _by_scale(scale, full=(1.0, 2.0, 4.0), quick=(1.0, 4.0))
+         for cores in (1, 2, 4, 8)],
+        _by_scale(scale, full=(1, 2, 4, 6, 8, 10, 12, 16), quick=(1, 2, 4, 8, 16)),
+        engine,
     )
-    threads_grid = _threads_grid(
-        scale, full=(1, 2, 4, 6, 8, 10, 12, 16), quick=(1, 2, 4, 8, 16)
-    )
-    latencies = (1.0, 4.0) if scale == "quick" else (1.0, 2.0, 4.0)
-    grid = []
-    for latency_us in latencies:
-        for cores in (1, 2, 4, 8):
-            line = result.new_series(f"{latency_us:g}us/{cores}core")
-            for threads in threads_grid:
-                config = SystemConfig(
-                    mechanism=AccessMechanism.PREFETCH,
-                    cores=cores,
-                    threads_per_core=threads,
-                    device=DeviceConfig(total_latency_us=latency_us),
-                )
-                job = SweepJob(
-                    config=config,
-                    spec=MicrobenchSpec(work_count=DEFAULT_WORK),
-                    window=_WINDOW,
-                )
-                grid.append((line, threads, job))
-    _run_normalized("fig5", grid, engine)
-    return result
 
-
-# ---------------------------------------------------------------------------
-# Figure 6: prefetch with memory-level parallelism
-# ---------------------------------------------------------------------------
 
 def fig6(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureResult:
     """1 us prefetch-based access at MLP 1 / 2 / 4 ("n-read")."""
-    result = FigureResult(
-        "fig6",
-        "1us prefetch-based access at various levels of MLP",
-        xlabel="threads",
-        ylabel="normalized work IPC (matching-MLP baseline)",
+    return _microbench_figure(
+        ("fig6", "1us prefetch-based access at various levels of MLP",
+         "threads", "normalized work IPC (matching-MLP baseline)"),
+        [(f"{reads}-read", dict(mechanism=_PREFETCH, reads=reads)) for reads in (1, 2, 4)],
+        _by_scale(scale, full=range(1, 17), quick=(1, 2, 3, 4, 5, 8, 10, 16)),
+        engine,
     )
-    threads_grid = _threads_grid(
-        scale, full=tuple(range(1, 17)), quick=(1, 2, 3, 4, 5, 8, 10, 16)
-    )
-    grid = []
-    for reads in (1, 2, 4):
-        line = result.new_series(f"{reads}-read")
-        for threads in threads_grid:
-            config = SystemConfig(
-                mechanism=AccessMechanism.PREFETCH,
-                threads_per_core=threads,
-                device=DeviceConfig(total_latency_us=1.0),
-            )
-            job = SweepJob(
-                config=config,
-                spec=MicrobenchSpec(
-                    work_count=DEFAULT_WORK, reads_per_batch=reads
-                ),
-                window=_WINDOW,
-            )
-            grid.append((line, threads, job))
-    _run_normalized("fig6", grid, engine)
-    return result
 
-
-# ---------------------------------------------------------------------------
-# Figure 7: application-managed queues vs prefetch
-# ---------------------------------------------------------------------------
 
 def fig7(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureResult:
     """SWQ vs prefetch at 1 us and 4 us."""
-    result = FigureResult(
-        "fig7",
-        "Application-managed queues vs prefetch-based access",
-        xlabel="threads",
-        ylabel="normalized work IPC",
+    return _microbench_figure(
+        ("fig7", "Application-managed queues vs prefetch-based access",
+         "threads", "normalized work IPC"),
+        [(f"{tag}/{latency_us:g}us", dict(mechanism=mechanism, latency_us=latency_us))
+         for mechanism, tag in ((_PREFETCH, "prefetch"), (_SWQ, "swq"))
+         for latency_us in (1.0, 4.0)],
+        _by_scale(scale, full=(1, 2, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32),
+                  quick=(1, 4, 8, 10, 16, 24, 32)),
+        engine,
     )
-    threads_grid = _threads_grid(
-        scale,
-        full=(1, 2, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32),
-        quick=(1, 4, 8, 10, 16, 24, 32),
-    )
-    grid = []
-    for mechanism, tag in (
-        (AccessMechanism.PREFETCH, "prefetch"),
-        (AccessMechanism.SOFTWARE_QUEUE, "swq"),
-    ):
-        for latency_us in (1.0, 4.0):
-            line = result.new_series(f"{tag}/{latency_us:g}us")
-            for threads in threads_grid:
-                config = SystemConfig(
-                    mechanism=mechanism,
-                    threads_per_core=threads,
-                    device=DeviceConfig(total_latency_us=latency_us),
-                )
-                job = SweepJob(
-                    config=config,
-                    spec=MicrobenchSpec(work_count=DEFAULT_WORK),
-                    window=_WINDOW,
-                )
-                grid.append((line, threads, job))
-    _run_normalized("fig7", grid, engine)
-    return result
 
-
-# ---------------------------------------------------------------------------
-# Figure 8: multicore software-managed queues
-# ---------------------------------------------------------------------------
 
 def fig8(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureResult:
     """Multicore SWQ (the PCIe request-rate wall at eight cores)."""
-    result = FigureResult(
-        "fig8",
-        "Multicore comparison of software-managed queues",
-        xlabel="threads per core",
-        ylabel="normalized work IPC (vs 1-core DRAM baseline)",
+    return _microbench_figure(
+        ("fig8", "Multicore comparison of software-managed queues",
+         "threads per core", "normalized work IPC (vs 1-core DRAM baseline)"),
+        [(f"{latency_us:g}us/{cores}core",
+          dict(mechanism=_SWQ, cores=cores, latency_us=latency_us))
+         for latency_us in (1.0, 4.0) for cores in (1, 2, 4, 8)],
+        _by_scale(scale, full=(4, 8, 12, 16, 20, 24, 32), quick=(4, 8, 16, 24, 32)),
+        engine,
     )
-    threads_grid = _threads_grid(
-        scale, full=(4, 8, 12, 16, 20, 24, 32), quick=(4, 8, 16, 24, 32)
-    )
-    grid = []
-    for latency_us in (1.0, 4.0):
-        for cores in (1, 2, 4, 8):
-            line = result.new_series(f"{latency_us:g}us/{cores}core")
-            for threads in threads_grid:
-                config = SystemConfig(
-                    mechanism=AccessMechanism.SOFTWARE_QUEUE,
-                    cores=cores,
-                    threads_per_core=threads,
-                    device=DeviceConfig(total_latency_us=latency_us),
-                )
-                job = SweepJob(
-                    config=config,
-                    spec=MicrobenchSpec(work_count=DEFAULT_WORK),
-                    window=_WINDOW,
-                )
-                grid.append((line, threads, job))
-    _run_normalized("fig8", grid, engine)
-    return result
 
-
-# ---------------------------------------------------------------------------
-# Figure 9: software-managed queues with MLP
-# ---------------------------------------------------------------------------
 
 def fig9(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureResult:
     """SWQ at MLP 1 / 2 / 4, one core and four cores."""
-    result = FigureResult(
-        "fig9",
-        "Impact of MLP on software-managed queues",
-        xlabel="threads per core",
-        ylabel="normalized work IPC (matching-MLP baseline)",
+    return _microbench_figure(
+        ("fig9", "Impact of MLP on software-managed queues",
+         "threads per core", "normalized work IPC (matching-MLP baseline)"),
+        [(f"{cores}core/{reads}-read", dict(mechanism=_SWQ, cores=cores, reads=reads))
+         for cores in (1, 4) for reads in (1, 2, 4)],
+        _by_scale(scale, full=(2, 4, 8, 12, 16, 24, 32), quick=(4, 8, 16, 24, 32)),
+        engine,
     )
-    threads_grid = _threads_grid(
-        scale, full=(2, 4, 8, 12, 16, 24, 32), quick=(4, 8, 16, 24, 32)
-    )
-    grid = []
-    for cores, panel in ((1, "1core"), (4, "4core")):
-        for reads in (1, 2, 4):
-            line = result.new_series(f"{panel}/{reads}-read")
-            for threads in threads_grid:
-                config = SystemConfig(
-                    mechanism=AccessMechanism.SOFTWARE_QUEUE,
-                    cores=cores,
-                    threads_per_core=threads,
-                    device=DeviceConfig(total_latency_us=1.0),
-                )
-                job = SweepJob(
-                    config=config,
-                    spec=MicrobenchSpec(
-                        work_count=DEFAULT_WORK, reads_per_batch=reads
-                    ),
-                    window=_WINDOW,
-                )
-                grid.append((line, threads, job))
-    _run_normalized("fig9", grid, engine)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +341,8 @@ def fig10(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureR
         xlabel="threads per core",
         ylabel="normalized performance (vs 1-thread DRAM baseline)",
     )
-    threads_grid = _threads_grid(
-        scale, full=(1, 2, 4, 8, 16, 32), quick=(1, 4, 16)
-    )
-    panels = (
-        ("a", AccessMechanism.PREFETCH, 1),
-        ("b", AccessMechanism.SOFTWARE_QUEUE, 1),
-        ("c", AccessMechanism.PREFETCH, 8),
-        ("d", AccessMechanism.SOFTWARE_QUEUE, 8),
-    )
+    threads_grid = _by_scale(scale, full=(1, 2, 4, 8, 16, 32), quick=(1, 4, 16))
+    panels = (("a", _PREFETCH, 1), ("b", _SWQ, 1), ("c", _PREFETCH, 8), ("d", _SWQ, 8))
     ops = 48 if scale == "full" else 24
     vertices = 2048 if scale == "full" else 1024
     grid = []
@@ -493,12 +366,6 @@ def fig10(scale: str = "quick", engine: Optional[SweepEngine] = None) -> FigureR
 # ---------------------------------------------------------------------------
 # Figure A (beyond the paper): open-loop tail latency vs offered load
 # ---------------------------------------------------------------------------
-
-#: Services need a longer steady-state window than the closed-loop
-#: microbenchmarks: the tail percentiles are computed from the requests
-#: *completing inside* the window, so the window must hold enough
-#: arrivals for a p99 to be meaningful.
-_SLO_WINDOW = MeasureWindow(warmup_us=40.0, measure_us=400.0)
 
 #: Polling service workers per logical core (the fig8 regime where SWQ
 #: keeps the device busy: enough threads to overlap many accesses).
@@ -532,12 +399,8 @@ def figA_slo(
         xlabel="offered load (requests/us/core)",
         ylabel="sojourn latency (us)",
     )
-    cores_grid = (1, 2, 4, 8) if scale == "full" else (1, 8)
-    loads = (
-        (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
-        if scale == "full"
-        else (0.1, 0.2, 0.3)
-    )
+    cores_grid = _by_scale(scale, full=(1, 2, 4, 8), quick=(1, 8))
+    loads = _by_scale(scale, full=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3), quick=(0.1, 0.2, 0.3))
     engine = _resolve_engine(engine)
     sweep = SweepSpec("figA_slo")
     grid = []
@@ -549,7 +412,7 @@ def figA_slo(
             }
             for load in loads:
                 config = SystemConfig(
-                    mechanism=AccessMechanism.SOFTWARE_QUEUE,
+                    mechanism=_SWQ,
                     cores=cores,
                     threads_per_core=_SLO_WORKERS,
                     device=DeviceConfig(total_latency_us=1.0),
@@ -563,7 +426,7 @@ def figA_slo(
                     workers_per_core=_SLO_WORKERS,
                 )
                 job = sweep.add(
-                    SweepJob(config=config, service=service, window=_SLO_WINDOW)
+                    SweepJob(config=config, service=service, window=_LONG_WINDOW)
                 )
                 grid.append((lines, load, job))
     outcomes = engine.run(sweep)

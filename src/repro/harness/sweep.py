@@ -61,7 +61,6 @@ latency probe, so benchmarks can assert cache behavior and speedup.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
@@ -433,12 +432,8 @@ class ResultCache:
         return self.root / f"{key}.json"
 
     def load(self, key: str) -> Optional[dict]:
-        try:
-            with open(self.path(key)) as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if entry.get("format") != self.FORMAT or entry.get("key") != key:
+        entry = coordinator._read_json(self.path(key))
+        if entry is None or entry.get("format") != self.FORMAT or entry.get("key") != key:
             return None
         result = entry.get("result")
         return result if isinstance(result, dict) else None
@@ -452,12 +447,7 @@ class ResultCache:
             "result": result,
         }
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = self.path(key).with_suffix(f".tmp.{os.getpid()}")
-            with open(tmp, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, self.path(key))
+            coordinator._write_json(self.path(key), entry)
         except OSError:
             pass
 

@@ -153,8 +153,23 @@ class AccessContext:
         raise NotImplementedError
 
     def read_batch(self, addrs: Sequence[int]):
-        """Synchronous batched dev_access: returns the word values."""
-        raise NotImplementedError
+        """Synchronous batched dev_access: returns the word values.
+
+        This is the memory-mapped mechanisms' path (on-demand and
+        prefetch): they have no SQ/CQ rings, so the whole
+        issue-to-data-ready window attributes to the device layer.
+        """
+        span = self.span
+        if span is not None:
+            span.mark("device", self.core.sim.now)
+        tokens = yield from self.read_batch_async(addrs)
+        values = []
+        for token in tokens:
+            yield from self.core.wait_data(token)
+            values.append(self._word(token))
+        if span is not None:
+            span.mark("work", self.core.sim.now)
+        return values
 
     def read(self, addr: int):
         """Synchronous dev_access(uint64*)."""
@@ -198,21 +213,6 @@ class OnDemandContext(AccessContext):
         self._record_latency(started_at, tokens)
         return tokens
 
-    def read_batch(self, addrs: Sequence[int]):
-        # Memory-mapped mechanisms have no SQ/CQ rings: the whole
-        # issue-to-data-ready window attributes to the device layer.
-        span = self.span
-        if span is not None:
-            span.mark("device", self.core.sim.now)
-        tokens = yield from self.read_batch_async(addrs)
-        values = []
-        for token in tokens:
-            yield from self.core.wait_data(token)
-            values.append(self._word(token))
-        if span is not None:
-            span.mark("work", self.core.sim.now)
-        return values
-
 
 class PrefetchContext(AccessContext):
     """Listing 1: prefetcht0, user-level context switch, then a load
@@ -233,19 +233,6 @@ class PrefetchContext(AccessContext):
         self.accesses += len(addrs)
         self._record_latency(started_at, tokens)
         return tokens
-
-    def read_batch(self, addrs: Sequence[int]):
-        span = self.span
-        if span is not None:
-            span.mark("device", self.core.sim.now)
-        tokens = yield from self.read_batch_async(addrs)
-        values = []
-        for token in tokens:
-            yield from self.core.wait_data(token)
-            values.append(self._word(token))
-        if span is not None:
-            span.mark("work", self.core.sim.now)
-        return values
 
 
 class SoftwareQueueContext(AccessContext):

@@ -8,13 +8,11 @@ from repro.sim import Simulator
 
 
 def alloc(sim, lfb, line):
-    """Run an allocation to completion and return the entry."""
-
-    def body():
-        entry = yield from lfb.allocate(line)
-        return entry
-
-    return sim.run(sim.process(body()))
+    """Queue an allocation, run until its buffer is granted, and return
+    the entry."""
+    entry, grant = lfb.allocate_queued(line)
+    sim.run(grant)
+    return entry
 
 
 def test_allocate_and_complete_roundtrip():
@@ -55,7 +53,8 @@ def test_allocation_blocks_when_full():
     granted = []
 
     def body():
-        first = yield from lfb.allocate(0x0)
+        first, grant = lfb.allocate_queued(0x0)
+        yield grant
         second_started = sim.now
 
         def release_later():
@@ -63,7 +62,8 @@ def test_allocation_blocks_when_full():
             lfb.complete(first, b"\x00" * 64)
 
         sim.process(release_later())
-        second = yield from lfb.allocate(0x40)
+        second, grant = lfb.allocate_queued(0x40)
+        yield grant
         granted.append((second_started, sim.now))
         lfb.complete(second, b"\x00" * 64)
 
@@ -88,12 +88,8 @@ def test_duplicate_allocation_rejected():
     sim = Simulator()
     lfb = LineFillBuffers(sim, entries=2)
     alloc(sim, lfb, 0x40)
-
-    def body():
-        yield from lfb.allocate(0x40)
-
     with pytest.raises(SimulationError):
-        sim.run(sim.process(body()))
+        lfb.allocate_queued(0x40)
 
 
 def test_completion_of_unknown_entry_rejected():

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import io
+import json
+import shlex
 
 import pytest
 
@@ -544,6 +546,48 @@ def test_interrupt_hint_names_the_environment_queue(monkeypatch, tmp_path):
     # The queue came from the environment, not a flag: the resume hint
     # must still point at it.
     assert f"--queue {tmp_path / 'queue'}" in text
+
+
+@pytest.mark.parametrize("flags, environ", [
+    (("--check-invariants",), {}),
+    ((), {"REPRO_SWEEP_METRICS": "1"}),
+], ids=["check-invariants", "metrics"])
+def test_interrupt_hint_resumes_the_same_queue(monkeypatch, tmp_path, flags, environ):
+    from repro.harness import sweep as sweep_mod
+
+    real_run = sweep_mod.run_job
+    calls = []
+
+    def _interrupt_third(job, tracer=None):
+        calls.append(job)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real_run(job, tracer)
+
+    monkeypatch.setattr(sweep_mod, "run_job", _interrupt_third)
+    for variable, value in environ.items():
+        monkeypatch.setenv(variable, value)
+    queue = tmp_path / "queue"
+    code, text = run_cli("figure", "fig3", *flags, "--no-cache", "--queue", str(queue))
+    assert code == 130
+    # Invariant checks and metrics enter every job's digest: a hint that
+    # dropped them resumed into a second queue subdirectory and
+    # simulated every job again.  Follow the hint exactly as printed.
+    monkeypatch.setattr(sweep_mod, "run_job", real_run)
+    for variable in environ:
+        monkeypatch.delenv(variable)
+    hint = next(line for line in text.splitlines() if line.startswith("resume with"))
+    argv = shlex.split(hint.split(":", 1)[1])
+    while "=" in argv[0]:
+        variable, value = argv.pop(0).split("=", 1)
+        monkeypatch.setenv(variable, value)
+    assert argv[0] == "repro"
+    code, text = run_cli(*argv[1:], "--stats")
+    assert code == 0
+    (subdir,) = queue.iterdir()
+    assert f"queue         : {subdir} (2 jobs served from queue records" in text
+    counts = json.loads((subdir / "manifest.json").read_text())["counts"]
+    assert counts.get("pending", 0) == counts.get("leased", 0) == 0
 
 
 def test_run_command_pcie_rate_fits_the_link():
