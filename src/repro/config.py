@@ -22,7 +22,7 @@ import typing
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.units import Frequency, ns, us
+from repro.units import Frequency, us
 
 __all__ = [
     "to_jsonable",
@@ -464,14 +464,6 @@ class KernelQueueConfig:
         _require(self.syscall_ns >= 0, "costs cannot be negative")
         _require(self.kernel_switch_ns >= 0, "costs cannot be negative")
         _require(self.interrupt_ns >= 0, "costs cannot be negative")
-
-    @property
-    def per_access_ticks(self) -> int:
-        """Kernel overhead serialized onto one access (request side +
-        completion side, each with a context switch)."""
-        return ns(
-            self.syscall_ns + 2 * self.kernel_switch_ns + self.interrupt_ns
-        )
 
 
 @dataclass(frozen=True)

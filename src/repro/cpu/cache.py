@@ -71,15 +71,6 @@ class L1Cache:
         self.installs += 1
         return victim
 
-    def invalidate_all(self) -> None:
-        """Drop every line (used between experiment phases)."""
-        for bucket in self._sets:
-            bucket.clear()
-
     @property
     def resident_lines(self) -> int:
         return sum(len(bucket) for bucket in self._sets)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -101,9 +101,11 @@ class OutOfOrderCore:
         self._execute_table = [
             self.frequency.cycles(n / config.work_ipc) for n in counts
         ]
-        #: Retire hooks by instruction count, for work and for overhead.
-        self._work_hooks = [self._retire_hook(n, True) for n in counts]
-        self._overhead_hooks = [self._retire_hook(n, False) for n in counts]
+        #: Retire hooks of work chunks by instruction count.
+        self._work_hooks = [self._retire_hook(n) for n in counts]
+        #: The retire hook of a load, store or prefetch: the core's only
+        #: non-work instructions, each counted as one instruction.
+        self._one_hook = self.instructions.add
 
     # -- wiring ---------------------------------------------------------------
 
@@ -153,13 +155,8 @@ class OutOfOrderCore:
 
     # -- primitives (front-end generators) ------------------------------------
 
-    def dispatch_work(
-        self,
-        instructions: int,
-        deps: Sequence[Event] = (),
-        count_as_work: bool = True,
-    ):
-        """Dispatch a block of arithmetic instructions.
+    def dispatch_work(self, instructions: int, deps: Sequence[Event] = ()):
+        """Dispatch a block of arithmetic (work) instructions.
 
         The block's first chunk starts executing once every event in
         ``deps`` has fired (e.g. the load that produced its input);
@@ -178,7 +175,7 @@ class OutOfOrderCore:
         chunk_size = self.config.work_chunk_instructions
         dispatch_table = self._dispatch_table
         execute_table = self._execute_table
-        hooks = self._work_hooks if count_as_work else self._overhead_hooks
+        hooks = self._work_hooks
         previous: Optional[Event] = None
         remaining = instructions
         while remaining > 0:
@@ -216,7 +213,7 @@ class OutOfOrderCore:
         else:
             yield from self._dispatch(self._dispatch_table[1])
 
-    def _retire_hook(self, instructions: int, count_as_work: bool):
+    def _retire_hook(self, instructions: int):
         # The hook closes over the counters, not the core: the core keeps
         # its hooks, and a hook holding the core would make every core a
         # reference cycle that only the cyclic garbage collector frees.
@@ -225,8 +222,7 @@ class OutOfOrderCore:
 
         def hook() -> None:
             executed.add(instructions)
-            if count_as_work:
-                work.add(instructions)
+            work.add(instructions)
 
         return hook
 
@@ -238,7 +234,7 @@ class OutOfOrderCore:
         """
         yield from self._dispatch_one()
         data_event = self.memsys.load_line(addr, space)
-        self.rob.commit(1, data_event, self._overhead_hooks[1])
+        self.rob.commit(1, data_event, self._one_hook)
         return LoadToken(data_event, addr, self.memsys.line_of(addr))
 
     def issue_store(self, addr: int, space: AddressSpace, num_bytes: int = 8):
@@ -258,7 +254,7 @@ class OutOfOrderCore:
         yield from self.memsys.store_buffer.post(
             PendingStore(addr, space, num_bytes)
         )
-        self.rob.commit(1, self._fired_event(), self._overhead_hooks[1])
+        self.rob.commit(1, self._fired_event(), self._one_hook)
 
     def wait_data(self, token: LoadToken):
         """Block the front end until ``token``'s line has arrived.
@@ -284,18 +280,7 @@ class OutOfOrderCore:
         """
         yield from self._dispatch_one()
         issued = self.memsys.prefetch_line(addr, space)
-        self.rob.commit(1, issued, self._overhead_hooks[1])
-
-    def run_instructions(self, instructions: int, count_as_work: bool = False):
-        """Dispatch-and-forget an overhead instruction block.
-
-        Shorthand for software costs (descriptor builds, completion
-        handling) that are not "work" in the paper's work-IPC sense.
-        """
-        if instructions > 0:
-            yield from self.dispatch_work(
-                instructions, deps=(), count_as_work=count_as_work
-            )
+        self.rob.commit(1, issued, self._one_hook)
 
     def drain(self):
         """Wait until every dispatched instruction has retired.

@@ -49,14 +49,14 @@ def install_application(
     if name == "bloom":
         install_bloom(system, params, threads_per_core)
         return (
-            system.config.cores * threads_per_core * params.queries_per_thread
+            system.logical_cores * threads_per_core * params.queries_per_thread
         )
     if name == "memcached":
         install_memcached(system, params, threads_per_core)
-        return system.config.cores * threads_per_core * params.gets_per_thread
+        return system.logical_cores * threads_per_core * params.gets_per_thread
     if name == "bfs":
         runs = install_bfs(system, params, threads_per_core)
-        # One traversal per core; each visits every vertex exactly once.
+        # One traversal per logical core; each visits every vertex once.
         return sum(run.graph.n for run in runs)
     if name == "microbench-4read":
         spec = MicrobenchSpec(
@@ -66,7 +66,7 @@ def install_application(
         )
         install_microbench(system, spec, threads_per_core)
         return (
-            system.config.cores * threads_per_core * params.queries_per_thread
+            system.logical_cores * threads_per_core * params.queries_per_thread
         )
     raise ConfigError(f"unknown application {name!r}")
 

@@ -367,7 +367,6 @@ def run_job(job: SweepJob, tracer=None) -> JobRun:
                     service.store_params(),
                     service.open_loop,
                     service.workers_per_core,
-                    spans=system.spans,
                 )
                 stats = system.run_window(job.window.warmup_ticks, job.window.measure_ticks)
                 payload = {"kind": "service", **service_payload(service, state, system, stats)}

@@ -45,6 +45,7 @@ from repro.interconnect.dram import DramChannel
 from repro.interconnect.pcie import PcieLink
 from repro.memory import FlatMemory
 from repro.runtime.api import (
+    MAX_BATCH,
     AccessContext,
     KernelQueueContext,
     OnDemandContext,
@@ -65,10 +66,9 @@ _DRAM_DATA_BASE = 1 << 30
 #: Host-DRAM region of the per-core descriptor rings.
 _RING_BASE = 1 << 20
 _RING_STRIDE = 4096
-#: Host-DRAM region of per-thread response buffers.
+#: Host-DRAM region of per-thread response buffers (``MAX_BATCH``
+#: lines each).
 _RESPONSE_BASE = 1 << 24
-#: Maximum batched reads per dev_access_multi call (response slots).
-MAX_BATCH = 8
 
 ThreadFactory = Callable[[AccessContext], Generator]
 
@@ -123,10 +123,11 @@ class System:
 
         # -- shared fabric ---------------------------------------------------
         membus_attached = config.device.attachment is DeviceAttachment.MEMORY_BUS
-        if membus_attached and config.mechanism in (
+        queued = config.mechanism in (
             AccessMechanism.SOFTWARE_QUEUE,
             AccessMechanism.KERNEL_QUEUE,
-        ):
+        )
+        if membus_attached and queued:
             raise ConfigError(
                 "software-managed queues presume a PCIe-style doorbell/DMA "
                 "device; memory-bus attachment supports the memory-mapped "
@@ -150,9 +151,10 @@ class System:
         self.uncore.attach_target(
             AddressSpace.DRAM, DramTarget(self.dram, self.world, line_bytes)
         )
-        self.uncore.attach_target(AddressSpace.DEVICE, MmioTarget(self.bridge))
 
         # -- device ------------------------------------------------------------
+        #: One queue pair per logical core under the queue mechanisms,
+        #: none under the memory-mapped ones.
         self.queue_pairs: list[QueuePair] = []
         internal_delay = self._device_internal_delay()
         if membus_attached:
@@ -164,13 +166,7 @@ class System:
                 internal_delay_ticks=internal_delay,
             )
             self.device: MmioEmulator | SwqEmulator | MemoryBusDevice = device
-            # Replace the DEVICE-path target: reads go straight to the
-            # channel instead of through the PCIe bridge.
-            self.uncore._targets[AddressSpace.DEVICE] = device
-        elif config.mechanism in (
-            AccessMechanism.SOFTWARE_QUEUE,
-            AccessMechanism.KERNEL_QUEUE,
-        ):
+        elif queued:
             self.queue_pairs = [
                 QueuePair(core, config.swq.ring_entries)
                 for core in range(self.logical_cores)
@@ -199,6 +195,12 @@ class System:
                 self.world,
                 internal_delay_ticks=internal_delay,
             )
+        # The DEVICE path: memory-bus reads go straight to the channel,
+        # PCIe reads through the bridge.
+        self.uncore.attach_target(
+            AddressSpace.DEVICE,
+            self.device if membus_attached else MmioTarget(self.bridge),
+        )
 
         # -- cores and runtimes ----------------------------------------------------
         # SMT: each physical core's contexts share an L1/LFB stack and
@@ -364,13 +366,16 @@ class System:
 
     # -- latency budgeting -------------------------------------------------------
 
-    def _dram_internal_latency(self) -> int:
-        config = self.config
-        line = config.cache.line_bytes
-        overhead = 2 * self.uncore.hop_ticks + transfer_ticks(
-            line, config.host_dram.bandwidth_bytes_per_s
+    def _dram_path_ticks(self) -> int:
+        """The uncore hops plus one line's transfer on the host-DRAM
+        channel: the modeled path of a DRAM-channel read."""
+        return 2 * self.uncore.hop_ticks + transfer_ticks(
+            self.config.cache.line_bytes,
+            self.config.host_dram.bandwidth_bytes_per_s,
         )
-        internal = ns(config.host_dram.latency_ns) - overhead
+
+    def _dram_internal_latency(self) -> int:
+        internal = ns(self.config.host_dram.latency_ns) - self._dram_path_ticks()
         if internal < 0:
             raise ConfigError(
                 "host DRAM latency is smaller than the modeled uncore path; "
@@ -381,10 +386,8 @@ class System:
     def _device_internal_delay(self) -> int:
         config = self.config
         if config.device.attachment is DeviceAttachment.MEMORY_BUS:
-            # Path: uncore hops + channel serialization (no PCIe).
-            path = 2 * self.uncore.hop_ticks + transfer_ticks(
-                config.cache.line_bytes, config.host_dram.bandwidth_bytes_per_s
-            )
+            # The DRAM path (no PCIe).
+            path = self._dram_path_ticks()
         else:
             path = 2 * self.uncore.hop_ticks + self.link.round_trip_ticks(
                 config.cache.line_bytes
@@ -401,29 +404,27 @@ class System:
     def _scheduler_costs(self) -> SchedulerCosts:
         config = self.config
         switch = ns(config.threading.context_switch_ns)
+        if not self.queue_pairs:
+            return SchedulerCosts(switch_ticks=switch)
         frequency = config.cpu.frequency
         ipc = config.threading.overhead_ipc
 
         def serialized(instructions: int) -> int:
             return frequency.cycles(instructions / ipc)
 
-        if config.mechanism is AccessMechanism.SOFTWARE_QUEUE:
-            return SchedulerCosts(
-                switch_ticks=switch,
-                poll_ticks=serialized(config.swq.poll_instructions),
-                completion_ticks=serialized(config.swq.completion_instructions),
-                wakeup_ticks=serialized(config.swq.wakeup_instructions),
-            )
-        if config.mechanism is AccessMechanism.KERNEL_QUEUE:
-            kq = config.kernel_queue
-            return SchedulerCosts(
-                switch_ticks=switch,
-                poll_ticks=serialized(config.swq.poll_instructions),
-                completion_ticks=serialized(config.swq.completion_instructions),
-                wakeup_ticks=serialized(config.swq.wakeup_instructions),
-                wake_busy_ticks=ns(kq.interrupt_ns + kq.kernel_switch_ns),
-            )
-        return SchedulerCosts(switch_ticks=switch)
+        kq = config.kernel_queue
+        return SchedulerCosts(
+            switch_ticks=switch,
+            poll_ticks=serialized(config.swq.poll_instructions),
+            completion_ticks=serialized(config.swq.completion_instructions),
+            wakeup_ticks=serialized(config.swq.wakeup_instructions),
+            # The kernel queue's completion side: interrupt + switch back.
+            wake_busy_ticks=(
+                ns(kq.interrupt_ns + kq.kernel_switch_ns)
+                if config.mechanism is AccessMechanism.KERNEL_QUEUE
+                else 0
+            ),
+        )
 
     # -- placement -----------------------------------------------------------------
 
@@ -431,10 +432,14 @@ class System:
         """Host-DRAM address of ``core``'s request ring."""
         return _RING_BASE + core * _RING_STRIDE
 
+    def _line_aligned(self, num_bytes: int) -> int:
+        """``num_bytes`` rounded up to whole cache lines."""
+        line = self.config.cache.line_bytes
+        return (num_bytes + line - 1) // line * line
+
     def alloc_device(self, core: int, num_bytes: int) -> int:
         """Carve ``num_bytes`` from ``core``'s device partition."""
-        line = self.config.cache.line_bytes
-        aligned = (num_bytes + line - 1) // line * line
+        aligned = self._line_aligned(num_bytes)
         base = self._device_bumps[core]
         limit = self.map.partition_base(core) + self.map.partition_bytes
         if base + aligned > limit:
@@ -447,10 +452,8 @@ class System:
 
     def alloc_dram(self, num_bytes: int) -> int:
         """Carve ``num_bytes`` of host DRAM for workload data."""
-        line = self.config.cache.line_bytes
-        aligned = (num_bytes + line - 1) // line * line
         base = self._dram_bump
-        self._dram_bump = base + aligned
+        self._dram_bump = base + self._line_aligned(num_bytes)
         return base
 
     def alloc_data(self, core: int, num_bytes: int) -> int:
@@ -473,55 +476,39 @@ class System:
     def make_context(self, core_id: int, thread_id: int) -> AccessContext:
         """Build the mechanism's access context for one thread."""
         config = self.config
-        core = self.cores[core_id]
-        space = self.data_space
+        args = (self.cores[core_id], thread_id, self.data_space, config.threading)
         context: AccessContext
-        if (
-            config.backing is BackingStore.DRAM
-            or config.mechanism is AccessMechanism.ON_DEMAND
-        ):
-            context = OnDemandContext(
-                core, thread_id, space, config.threading, world=self.world
-            )
-        elif config.mechanism is AccessMechanism.PREFETCH:
-            context = PrefetchContext(
-                core, thread_id, space, config.threading, world=self.world
-            )
+        if not self.queue_pairs:
+            if config.mechanism is AccessMechanism.PREFETCH:
+                context = PrefetchContext(*args, world=self.world)
+            else:
+                context = OnDemandContext(*args, world=self.world)
         else:
-            context = None
-        if context is not None:
-            context.access_latency = self.access_latency
-            return context
-        response_base = self._alloc_response_buffer()
-        common = dict(
-            threading_config=config.threading,
-            world=self.world,
-            swq_config=config.swq,
-            queue_pair=self.queue_pairs[core_id],
-            doorbell_addr=self.map.doorbell_addr(core_id),
-            response_base=response_base,
-            line_bytes=config.cache.line_bytes,
-        )
-        if config.mechanism is AccessMechanism.SOFTWARE_QUEUE:
-            context = SoftwareQueueContext(core, thread_id, space, **common)
-        else:
-            kq = config.kernel_queue
-            context = KernelQueueContext(
-                core,
-                thread_id,
-                space,
-                syscall_ticks=ns(kq.syscall_ns),
-                kernel_switch_ticks=ns(kq.kernel_switch_ns),
-                **common,
+            # Carve the thread's response buffer: one line per read of
+            # a batch.
+            line_bytes = config.cache.line_bytes
+            response_base = self._response_bump
+            self._response_bump += MAX_BATCH * line_bytes
+            queue = dict(
+                world=self.world,
+                swq_config=config.swq,
+                queue_pair=self.queue_pairs[core_id],
+                doorbell_addr=self.map.doorbell_addr(core_id),
+                response_base=response_base,
+                line_bytes=line_bytes,
             )
+            if config.mechanism is AccessMechanism.SOFTWARE_QUEUE:
+                context = SoftwareQueueContext(*args, **queue)
+            else:
+                kq = config.kernel_queue
+                context = KernelQueueContext(
+                    *args,
+                    syscall_ticks=ns(kq.syscall_ns),
+                    kernel_switch_ticks=ns(kq.kernel_switch_ns),
+                    **queue,
+                )
         context.access_latency = self.access_latency
         return context
-
-    def _alloc_response_buffer(self) -> int:
-        line = self.config.cache.line_bytes
-        base = self._response_bump
-        self._response_bump += MAX_BATCH * line
-        return base
 
     def spawn(self, core_id: int, factory: ThreadFactory) -> UserThread:
         """Create one user thread on ``core_id`` from ``factory``."""
@@ -535,10 +522,9 @@ class System:
         across every logical core."""
         for core_id in range(self.logical_cores):
             for slot in range(threads_per_core):
-                runtime = self.runtimes[core_id]
-                thread_id = len(runtime.threads)
-                context = self.make_context(core_id, thread_id)
-                runtime.add_thread(factory(context, core_id, slot))
+                # ``spawn`` calls the factory at once, so the loop
+                # variables are read before they move on.
+                self.spawn(core_id, lambda context: factory(context, core_id, slot))
 
     # -- running ---------------------------------------------------------------------
 

@@ -87,11 +87,6 @@ class MetricsRegistry:
             )
         self._probes[name] = probe
 
-    def register_many(self, prefix: str, probes: Dict[str, Probe]) -> None:
-        """Register every ``{leaf: probe}`` under ``prefix.leaf``."""
-        for leaf, probe in probes.items():
-            self.register(f"{prefix}.{leaf}" if prefix else leaf, probe)
-
     def names(self) -> Iterable[str]:
         return sorted(self._probes)
 

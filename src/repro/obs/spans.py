@@ -437,14 +437,6 @@ class SpanLedger:
             },
         }
 
-    def emit_trace(self, tracer, pid: int) -> int:
-        """Render every exemplar as Chrome-trace async spans on ``pid``
-        (track ``spans``): a root ``request`` span plus one nested span
-        per segment, all sharing the request's seq as the async id so
-        they overlay the tracer's existing per-layer tracks.  Returns
-        the number of exemplar trees emitted."""
-        return emit_exemplar_trace(tracer, self.exemplar_payload(), pid)
-
     # -- export ------------------------------------------------------------------
 
     def register_metrics(self, registry, prefix: str) -> None:

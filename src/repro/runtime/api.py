@@ -34,12 +34,17 @@ from repro.sim.trace import LatencyStat
 from repro.units import ns
 
 __all__ = [
+    "MAX_BATCH",
     "AccessContext",
     "OnDemandContext",
     "PrefetchContext",
     "SoftwareQueueContext",
     "KernelQueueContext",
 ]
+
+#: Maximum batched reads per dev_access_multi call: the queue
+#: mechanisms' per-thread response buffer holds one line per read.
+MAX_BATCH = 8
 
 
 class AccessContext:
@@ -110,14 +115,6 @@ class AccessContext:
         done = yield from self.core.dispatch_work(instructions, deps=deps)
         return done
 
-    def local_work(self, instructions: int):
-        """Non-work instructions (bookkeeping the workload needs but
-        the paper's work-IPC metric excludes)."""
-        done = yield from self.core.dispatch_work(
-            instructions, deps=(), count_as_work=False
-        )
-        return done
-
     def yield_control(self):
         """Cooperatively hand the core to the next ready thread."""
         yield YIELD_CONTROL
@@ -137,10 +134,6 @@ class AccessContext:
         yield from self.software_cost(
             self.threading_config.access_call_instructions
         )
-
-    @staticmethod
-    def _word(token: LoadToken) -> int:
-        return token.word()
 
     # -- per-mechanism ---------------------------------------------------------------
 
@@ -166,7 +159,7 @@ class AccessContext:
         values = []
         for token in tokens:
             yield from self.core.wait_data(token)
-            values.append(self._word(token))
+            values.append(token.word())
         if span is not None:
             span.mark("work", self.core.sim.now)
         return values
@@ -261,39 +254,31 @@ class SoftwareQueueContext(AccessContext):
         self.queue_pair = queue_pair
         self.doorbell_addr = doorbell_addr
         self.doorbell_ticks = ns(swq_config.doorbell_ns)
+        #: The thread's response buffer: ``MAX_BATCH`` lines, one slot
+        #: per read of a batch.
         self.response_base = response_base
         self.line_bytes = line_bytes
-        #: Response buffer capacity in lines (one slot per in-flight
-        #: batched read); set by the system builder's allocation.
-        self.max_batch = 8
         self._last_completions: list[Completion] = []
 
-    def _response_slot(self, index: int) -> int:
-        if index >= self.max_batch:
-            raise ProtocolError(
-                f"batch of more than {self.max_batch} reads overflows the "
-                "thread's response buffer (raise MAX_BATCH)"
-            )
-        return self.response_base + index * self.line_bytes
-
-    def _enqueue(self, addr: int, slot: int):
-        cost = (
-            self.swq_config.enqueue_instructions
-            if slot == 0
-            else self.swq_config.enqueue_batch_instructions
-        )
+    def _enqueue(self, addr: int, cost: int, response_addr: int = 0,
+                 is_write: bool = False, ring: bool = False):
+        """The queue protocol's one enqueue: charge ``cost``
+        instructions, wait for ring space, publish the descriptor, and
+        ring the doorbell when the device's flag asks (or ``ring``)."""
         yield from self.software_cost(cost)
         yield from self._wait_for_ring_space()
-        self.queue_pair.enqueue(
+        queue_pair = self.queue_pair
+        queue_pair.enqueue(
             Descriptor(
-                core_id=self.queue_pair.core_id,
+                core_id=queue_pair.core_id,
                 thread_id=self.thread_id,
                 device_addr=addr,
-                response_addr=self._response_slot(slot),
+                response_addr=response_addr,
+                is_write=is_write,
             )
         )
-        if self.queue_pair.doorbell_needed or not self.swq_config.doorbell_flag:
-            self.queue_pair.note_doorbell()
+        if ring or queue_pair.doorbell_needed or not self.swq_config.doorbell_flag:
+            queue_pair.note_doorbell()
             yield from self.core.mmio_write(self.doorbell_addr, 8, self.doorbell_ticks)
 
     def _wait_for_ring_space(self):
@@ -317,12 +302,21 @@ class SoftwareQueueContext(AccessContext):
             yield YIELD_CONTROL
 
     def read_batch_async(self, addrs: Sequence[int]):
+        if len(addrs) > MAX_BATCH:
+            raise ProtocolError(
+                f"batch of more than {MAX_BATCH} reads overflows the "
+                "thread's response buffer (raise MAX_BATCH)"
+            )
         started_at = self.core.sim.now
         span = self.span
         if span is not None:
             span.mark("sq", started_at)
+        swq = self.swq_config
         for slot, addr in enumerate(addrs):
-            yield from self._enqueue(addr, slot)
+            # Later descriptors of a batch amortize the first one's
+            # fence, index update and flag check.
+            cost = swq.enqueue_batch_instructions if slot else swq.enqueue_instructions
+            yield from self._enqueue(addr, cost, self.response_base + slot * self.line_bytes)
         if span is not None:
             span.mark("device", self.core.sim.now)
         completions = yield BlockOnCompletions(len(addrs))
@@ -350,20 +344,11 @@ class SoftwareQueueContext(AccessContext):
         # A write descriptor: enqueued like a read but fire-and-forget
         # (no response data, no completion entry -- the thread never
         # waits, matching the posted-write semantics of section VII).
-        yield from self.software_cost(self.swq_config.enqueue_instructions)
-        yield from self._wait_for_ring_space()
-        self.queue_pair.enqueue(
-            Descriptor(
-                core_id=self.queue_pair.core_id,
-                thread_id=self.thread_id,
-                device_addr=addr,
-                response_addr=0,
-                is_write=True,
-            )
+        # Named on the class so that kernel-queue writes take it too,
+        # posted without a trap.
+        yield from SoftwareQueueContext._enqueue(
+            self, addr, self.swq_config.enqueue_instructions, is_write=True
         )
-        if self.queue_pair.doorbell_needed or not self.swq_config.doorbell_flag:
-            self.queue_pair.note_doorbell()
-            yield from self.core.mmio_write(self.doorbell_addr, 8, self.doorbell_ticks)
 
     def read_batch(self, addrs: Sequence[int]):
         yield from self.read_batch_async(addrs)
@@ -397,21 +382,14 @@ class KernelQueueContext(SoftwareQueueContext):
         self.syscall_ticks = syscall_ticks
         self.kernel_switch_ticks = kernel_switch_ticks
 
-    def _enqueue(self, addr: int, slot: int):
-        # Trap into the kernel, then run the same enqueue + doorbell
-        # path (the kernel always rings: no application-side flag).
+    def _enqueue(self, addr: int, cost: int, response_addr: int):
+        # A read's system call: trap into the kernel, run the SWQ
+        # enqueue at full cost whatever the batch slot's ``cost`` (each
+        # read is its own call) with an unconditional doorbell (the
+        # kernel has no application-side flag), then the kernel
+        # deschedules the calling thread.  Writes never come here.
         yield from self.core.busy(self.syscall_ticks)
-        yield from self.software_cost(self.swq_config.enqueue_instructions)
-        yield from self._wait_for_ring_space()
-        self.queue_pair.enqueue(
-            Descriptor(
-                core_id=self.queue_pair.core_id,
-                thread_id=self.thread_id,
-                device_addr=addr,
-                response_addr=self._response_slot(slot),
-            )
+        yield from super()._enqueue(
+            addr, self.swq_config.enqueue_instructions, response_addr, ring=True
         )
-        self.queue_pair.note_doorbell()
-        yield from self.core.mmio_write(self.doorbell_addr, 8, self.doorbell_ticks)
-        # The kernel deschedules the calling thread.
         yield from self.core.busy(self.kernel_switch_ticks)

@@ -213,7 +213,7 @@ def bfs_thread(ctx: AccessContext, run: BfsRun, is_coordinator: bool):
 def install_bfs(
     system: System, params: BfsParams, threads_per_core: int
 ) -> list[BfsRun]:
-    """Spawn one independent traversal per core.
+    """Spawn one independent traversal per logical core.
 
     Each core gets its own copy of the graph in its own device
     partition and traverses it with its own threads -- the paper's
@@ -223,7 +223,7 @@ def install_bfs(
     """
     adjacency = generate_graph(params)
     runs: list[BfsRun] = []
-    for core_id in range(system.config.cores):
+    for core_id in range(system.logical_cores):
         base = system.alloc_data(core_id, CsrGraph.size_bytes(adjacency))
         graph = CsrGraph(adjacency, base, system.world)
         runs.append(BfsRun(graph, params, threads_per_core))

@@ -139,7 +139,8 @@ def make_query_keys(params: BloomParams, thread_seed: int) -> list[int]:
 def install_bloom(
     system: System, params: BloomParams, threads_per_core: int
 ) -> dict[tuple[int, int], list[bool]]:
-    """Build one filter per core, populate it, spawn lookup threads.
+    """Build one filter per logical core, populate it, spawn lookup
+    threads.
 
     Returns a (core, slot) -> results mapping filled during the run;
     keys below ``params.items`` are the populated ones.
@@ -150,7 +151,7 @@ def install_bloom(
     # populated with exactly the present keys (the sparse functional
     # memory then only materializes pages the run will touch).
     present_by_core: dict[int, set[int]] = {}
-    for core_id in range(system.config.cores):
+    for core_id in range(system.logical_cores):
         present: set[int] = set()
         for slot in range(threads_per_core):
             keys = make_query_keys(params, thread_seed=thread_seed(core_id, slot))

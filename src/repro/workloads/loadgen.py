@@ -282,15 +282,14 @@ def _core_seed(base_seed: int, core_id: int, stream: int) -> int:
 class ServiceState:
     """Live state of an installed open-loop service."""
 
-    def __init__(
-        self, system: System, spec: OpenLoopSpec, spans=None
-    ) -> None:
+    def __init__(self, system: System, spec: OpenLoopSpec) -> None:
         self.system = system
         self.spec = spec
-        #: Attribution ledger (:class:`repro.obs.spans.SpanLedger`) or
-        #: ``None``; every emission below is guarded on a local so the
-        #: disabled path costs one attribute load per transition.
-        self.spans = spans
+        #: The system's attribution ledger
+        #: (:class:`repro.obs.spans.SpanLedger`) or ``None``; every
+        #: emission below is guarded on a local so the disabled path
+        #: costs one attribute load per transition.
+        self.spans = system.spans
         probes = system.probes
         #: End-to-end sojourn (arrival to response): the SLO metric.
         self.sojourn = probes.latency("service-sojourn")
@@ -420,7 +419,6 @@ def install_service(
     params: MemcachedParams,
     spec: OpenLoopSpec,
     workers_per_core: int,
-    spans=None,
 ) -> ServiceState:
     """Wire the open-loop memcached service into ``system``.
 
@@ -430,9 +428,9 @@ def install_service(
     off-core: arrival timing models network ingress and consumes no
     core cycles, so the offered load is independent of service rate.
 
-    ``spans`` (a :class:`repro.obs.spans.SpanLedger`) enables
-    per-request latency attribution; it is also hung on the system so
-    ``System.report()`` and the registry export the attribution table.
+    A :class:`repro.obs.spans.SpanLedger` hung on ``system.spans``
+    before the call enables per-request latency attribution;
+    ``System.report()`` and the registry export its table.
     """
     if workers_per_core < 1:
         raise ConfigError("need at least one service worker per core")
@@ -441,9 +439,7 @@ def install_service(
             "key popularity space exceeds the populated store "
             f"({spec.keys.items} > {params.items})"
         )
-    if spans is not None:
-        system.spans = spans
-    state = ServiceState(system, spec, spans=spans)
+    state = ServiceState(system, spec)
     stores: dict[int, KvStore] = {}
 
     def factory(ctx: AccessContext, core_id: int, slot: int):

@@ -63,23 +63,6 @@ def test_contains_does_not_touch_stats():
     assert cache.hits == 0 and cache.misses == 0
 
 
-def test_invalidate_all():
-    cache = small_cache()
-    cache.install(0x0)
-    cache.install(0x40)
-    cache.invalidate_all()
-    assert cache.resident_lines == 0
-    assert not cache.contains(0x0)
-
-
 def test_capacity_property():
     config = CacheConfig(sets=64, ways=8, line_bytes=64)
     assert config.capacity_bytes == 32 * 1024
-
-
-def test_hit_rate():
-    cache = small_cache()
-    cache.install(0x0)
-    cache.lookup(0x0)
-    cache.lookup(0x40)
-    assert cache.hit_rate() == pytest.approx(0.5)

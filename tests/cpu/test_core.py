@@ -148,7 +148,10 @@ def test_overhead_instructions_not_counted_as_work():
     core, _t, _m = build_core(sim)
 
     def body():
-        yield from core.run_instructions(16)
+        # Loads and prefetches are the core's non-work instructions.
+        for line in range(8):
+            yield from core.issue_prefetch(line * 64, AddressSpace.DEVICE)
+            yield from core.issue_load(line * 64, AddressSpace.DEVICE)
 
     run(sim, body())
     sim.run()

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.config import AccessMechanism, DeviceConfig, SystemConfig
-from repro.harness.applications import MicrobenchAppParams, default_params
+from repro.config import AccessMechanism, CpuConfig, DeviceConfig, SystemConfig
+from repro.harness.applications import (
+    APPLICATIONS,
+    MicrobenchAppParams,
+    default_params,
+)
 from repro.harness.experiment import MeasureWindow, run_microbench
 from repro.harness.sweep import (
     SweepJob,
@@ -102,6 +106,23 @@ def test_run_application_counts_operations():
     assert operations == 2 * 10
     assert ticks > 0
     assert ticks / operations == ticks / 20
+
+
+@pytest.mark.parametrize("app", APPLICATIONS)
+def test_application_runs_on_every_smt_context(app):
+    """Each SMT context is a logical core with its own threads and
+    per-core state, and every one of its operations counts."""
+    config = SystemConfig(
+        mechanism=AccessMechanism.PREFETCH,
+        cores=1,
+        threads_per_core=2,
+        cpu=CpuConfig(smt_contexts=2),
+    )
+    params = default_params(app, ops_per_thread=4, bfs_vertices=32)
+    run = run_job(SweepJob(config=config, app=app, params=params))
+    # BFS: one 32-vertex traversal per logical core; the others: 2
+    # logical cores x 2 threads x 4 operations.
+    assert run.payload["operations"] == (64 if app == "bfs" else 16)
 
 
 def test_normalized_application_scales_with_threads():

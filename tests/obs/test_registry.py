@@ -53,11 +53,3 @@ def test_duplicate_and_invalid_names_rejected():
         registry.register("", lambda: 3)
     with pytest.raises(ConfigError):
         registry.register("bad", object())
-
-
-def test_register_many_prefixes_names():
-    registry = MetricsRegistry()
-    registry.register_many("lfb", {"fills": lambda: 1, "merges": lambda: 2})
-    assert "lfb.fills" in registry and "lfb.merges" in registry
-    assert len(registry) == 2
-    assert list(registry.names()) == ["lfb.fills", "lfb.merges"]

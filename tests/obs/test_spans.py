@@ -282,7 +282,7 @@ def _ledger_with_traffic():
 def test_emit_trace_renders_validator_clean_async_spans():
     ledger = _ledger_with_traffic()
     tracer = Tracer(TraceConfig(tracks=frozenset({"spans"})))
-    emitted = ledger.emit_trace(tracer, pid=5)
+    emitted = emit_exemplar_trace(tracer, ledger.exemplar_payload(), pid=5)
     assert emitted >= 3
     assert validate_trace(tracer.to_dict()) == []
     begins = [e for e in tracer.events if e.get("ph") == "b"]

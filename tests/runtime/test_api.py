@@ -154,23 +154,6 @@ def test_kernel_queue_charges_microseconds():
     assert kq_ns > swq_ns + 3000  # syscall + switches + interrupt
 
 
-def test_local_work_not_counted_as_work():
-    system = build(AccessMechanism.PREFETCH)
-
-    def factory(ctx):
-        def body():
-            yield from ctx.local_work(64)
-            yield from ctx.work(32)
-            done = yield from ctx.work(0)
-            yield done
-            return None
-        return body()
-
-    run_thread(system, factory)
-    system.sim.run()
-    assert system.work_counter.total == 32
-
-
 def test_software_cost_scales_with_overhead_ipc():
     from repro.config import ThreadingConfig
 
